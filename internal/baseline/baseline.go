@@ -16,7 +16,6 @@ package baseline
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"sflow/internal/abstract"
 	"sflow/internal/flow"
@@ -66,32 +65,43 @@ func SolveChain(ag *abstract.Graph, chain []int, src int, pins map[int]int) (*Re
 		return nil, fmt.Errorf("baseline: source instance %d provides service %d, chain starts at %d",
 			src, got, chain[0])
 	}
+	for i, sid := range chain {
+		for _, prev := range chain[:i] {
+			if prev == sid {
+				return nil, fmt.Errorf("baseline: chain %v repeats service %d", chain, sid)
+			}
+		}
+	}
 	layers, err := buildLayers(ag, chain, src, pins)
 	if err != nil {
 		return nil, err
 	}
-	lg := newLayeredGraph(ag, layers)
-	res := qos.ShortestWidest(lg, src)
+	return SolveLayers(ag, chain, layers, new(Scratch))
+}
 
-	// Best sink instance in the shortest-widest order.
-	best, bestMetric := -1, qos.Unreachable
-	for _, nid := range layers[len(layers)-1] {
-		if m := res.Metric(nid); m.Reachable() && (best == -1 || m.Better(bestMetric)) {
-			best, bestMetric = nid, m
-		}
-	}
-	if best == -1 {
+// SolveLayers is SolveChain over explicit candidate layers: layers[0] holds
+// exactly the source instance and layers[i] the candidate instances of
+// chain[i]. The caller guarantees what SolveChain validates — every
+// candidate provides its layer's service and no service repeats — so the
+// layers are disjoint and the abstract graph between them is a layered DAG.
+//
+// Step 3 of the algorithm runs as two passes in layer order, the layered
+// form of the two-phase shortest-widest computation: a max-min pass for the
+// widest bottleneck to every candidate, then a min-latency pass restricted
+// to abstract edges at least as wide as the best sink's bottleneck. Ties are
+// broken exactly as the two-phase Dijkstra settles them (see DESIGN.md,
+// "Layered-DAG chain solves").
+func SolveLayers(ag *abstract.Graph, chain []int, layers [][]int, sc *Scratch) (*Result, error) {
+	sc.load(ag, layers)
+	sink, m := sc.best()
+	if sink < 0 {
 		return nil, ErrInfeasible
 	}
-	abstractPath := res.PathTo(best)
-	if len(abstractPath) != len(chain) {
-		// Cannot happen: the layered graph only has layer-to-layer arcs.
-		return nil, fmt.Errorf("baseline: abstract path %v does not span %d layers", abstractPath, len(chain))
-	}
+	abstractPath := sc.trace(sink)
 
 	// Step 4: expand abstract edges into concrete overlay routes.
 	fg := flow.New()
-	if err := fg.Assign(chain[0], src); err != nil {
+	if err := fg.Assign(chain[0], abstractPath[0]); err != nil {
 		return nil, err
 	}
 	for i := 0; i+1 < len(abstractPath); i++ {
@@ -106,7 +116,18 @@ func SolveChain(ag *abstract.Graph, chain []int, src int, pins map[int]int) (*Re
 			return nil, err
 		}
 	}
-	return &Result{Flow: fg, Metric: bestMetric}, nil
+	return &Result{Flow: fg, Metric: m}, nil
+}
+
+// LayersMetric returns the metric SolveLayers would report for the same
+// layers (qos.Unreachable where it would fail with ErrInfeasible) without
+// building the flow graph: the same two passes, minus the predecessor walk
+// and the route expansion. It reads exactly the abstract edges SolveLayers
+// reads before its expansion step, in the same order.
+func LayersMetric(ag *abstract.Graph, layers [][]int, sc *Scratch) qos.Metric {
+	sc.load(ag, layers)
+	_, m := sc.best()
+	return m
 }
 
 // SolveBestSource runs Solve from every instance of the source service and
@@ -141,6 +162,15 @@ func SolveBestSource(ag *abstract.Graph, pins map[int]int) (*Result, error) {
 	return best, nil
 }
 
+// CheckPin returns the error SolveChain reports for pinning instance nid to
+// service sid when nid provides a different service, and nil otherwise.
+func CheckPin(ag *abstract.Graph, sid, nid int) error {
+	if got := ag.Overlay().SIDOf(nid); got != sid {
+		return fmt.Errorf("baseline: pin %d for service %d provides service %d", nid, sid, got)
+	}
+	return nil
+}
+
 // buildLayers returns, per chain position, the candidate instances (a single
 // one where pinned).
 func buildLayers(ag *abstract.Graph, chain []int, src int, pins map[int]int) ([][]int, error) {
@@ -151,8 +181,8 @@ func buildLayers(ag *abstract.Graph, chain []int, src int, pins map[int]int) ([]
 			layers[i] = []int{src}
 		default:
 			if nid, ok := pins[sid]; ok {
-				if got := ag.Overlay().SIDOf(nid); got != sid {
-					return nil, fmt.Errorf("baseline: pin %d for service %d provides service %d", nid, sid, got)
+				if err := CheckPin(ag, sid, nid); err != nil {
+					return nil, err
 				}
 				layers[i] = []int{nid}
 			} else {
@@ -165,38 +195,3 @@ func buildLayers(ag *abstract.Graph, chain []int, src int, pins map[int]int) ([]
 	}
 	return layers, nil
 }
-
-// layeredGraph exposes the abstract graph of a path requirement as a
-// qos.Graph whose arcs go from each layer to the next.
-type layeredGraph struct {
-	nodes []int
-	out   map[int][]qos.Arc
-}
-
-func newLayeredGraph(ag *abstract.Graph, layers [][]int) *layeredGraph {
-	lg := &layeredGraph{out: make(map[int][]qos.Arc)}
-	seen := make(map[int]struct{})
-	for i, layer := range layers {
-		for _, nid := range layer {
-			if _, dup := seen[nid]; !dup {
-				seen[nid] = struct{}{}
-				lg.nodes = append(lg.nodes, nid)
-			}
-			if i+1 >= len(layers) {
-				continue
-			}
-			for _, next := range layers[i+1] {
-				m := ag.EdgeMetric(nid, next)
-				if !m.Reachable() || next == nid {
-					continue
-				}
-				lg.out[nid] = append(lg.out[nid], qos.Arc{To: next, Bandwidth: m.Bandwidth, Latency: m.Latency})
-			}
-		}
-	}
-	sort.Ints(lg.nodes)
-	return lg
-}
-
-func (lg *layeredGraph) Nodes() []int        { return lg.nodes }
-func (lg *layeredGraph) Out(u int) []qos.Arc { return lg.out[u] }

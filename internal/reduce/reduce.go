@@ -27,7 +27,6 @@ import (
 	"sflow/internal/abstract"
 	"sflow/internal/baseline"
 	"sflow/internal/flow"
-	"sflow/internal/graph"
 	"sflow/internal/qos"
 	"sflow/internal/require"
 )
@@ -143,7 +142,8 @@ const maxJunctionCombos = 50_000
 // Solve computes a service flow graph for an arbitrary requirement using the
 // reduction heuristics. src is the designated instance of the source
 // service; pins (optional) force instances for specific services and take
-// precedence over the heuristic's own junction choices.
+// precedence over the heuristic's own junction choices. A pin naming an
+// instance of another service is an error, reported before any search.
 //
 // Junction services are assigned first: when the combination space is small
 // (the common case — requirements have few junctions), every combination is
@@ -158,156 +158,225 @@ func Solve(ag *abstract.Graph, src int, pins map[int]int) (*Result, error) {
 		return nil, fmt.Errorf("reduce: source instance %d provides service %d, requirement starts at %d",
 			src, got, req.Source())
 	}
-	chains := PathReduction(req)
-
-	s := &solver{
-		ag:     ag,
-		req:    req,
-		chains: chains,
-		pins:   pins,
-		memo:   make(map[chainKey]qos.Metric),
+	// The source service's pin, if any, is ignored: src plays its role.
+	for _, sid := range req.Services() {
+		if nid, ok := pins[sid]; ok && sid != req.Source() {
+			if err := baseline.CheckPin(ag, sid, nid); err != nil {
+				return nil, err
+			}
+		}
 	}
-	chosen, err := s.chooseJunctions(src)
+	s, err := compile(ag, src, pins)
+	if err != nil {
+		return nil, err
+	}
+	chosen, err := s.chooseJunctions()
 	if err != nil {
 		return nil, err
 	}
 
 	// Assembly: with all junction instances fixed, solve every chain
-	// fragment optimally and merge.
+	// fragment optimally and merge. Each fragment's route realises its
+	// metric exactly, so the flow graph's quality is the skeleton quality
+	// of the fragment metrics.
 	fg := flow.New()
-	for _, c := range chains {
-		r, err := solveChainPinned(ag, c, chosen[c.From], chosen[c.To], pins)
+	for i, c := range s.chains {
+		l := &s.links[i]
+		l.pin(s.cands[l.from][chosen[l.from]], s.cands[l.to][chosen[l.to]])
+		r, err := baseline.SolveLayers(ag, l.services, l.layers, &s.sc)
 		if err != nil {
 			return nil, fmt.Errorf("%w: fragment %d->%d: %v", ErrInfeasible, c.From, c.To, err)
 		}
 		if err := fg.Merge(r.Flow); err != nil {
 			return nil, fmt.Errorf("reduce: merge fragment %d->%d: %w", c.From, c.To, err)
 		}
+		s.metrics[i] = r.Metric
 	}
-	m := fg.Quality(req)
-	if !m.Reachable() {
-		return nil, ErrInfeasible
+	junctions := make(map[int]int, len(s.sids))
+	for j, sid := range s.sids {
+		junctions[sid] = s.cands[j][chosen[j]]
 	}
-	return &Result{Flow: fg, Metric: m, Junctions: chosen}, nil
+	return &Result{Flow: fg, Metric: s.quality(), Junctions: junctions}, nil
 }
 
-// solver carries the state of one reduction solve.
+// solver is the junction skeleton of one reduction solve, compiled once:
+// junctions are indexed densely in topological order (index 0 is the
+// source), candidates and assignments are slot indexes into per-junction
+// instance lists, and every chain fragment carries its candidate layers.
 type solver struct {
 	ag     *abstract.Graph
-	req    *require.Requirement
 	chains []Chain
-	pins   map[int]int
-	memo   map[chainKey]qos.Metric
+	sids   []int   // junction services in topological order
+	cands  [][]int // candidate instances per junction
+	in     [][]int // chains entering each junction
+	out    [][]int // chains leaving each junction
+	sinks  []int   // junction indexes of the requirement's sinks
+	links  []link  // compiled chains, parallel to chains
+	// metrics holds one metric per chain for quality; dist is its
+	// critical-path scratch.
+	metrics []qos.Metric
+	dist    []int64
+	sc      baseline.Scratch
 }
 
-type chainKey struct {
-	idx      int // index into chains
-	from, to int // junction instances
+// link is one compiled chain fragment: its junction endpoints, its services
+// and its candidate layers. The end layers hold one instance each, set by
+// pin before every read.
+type link struct {
+	from, to int // junction indexes
+	services []int
+	layers   [][]int
+	// memo caches the chain's optimal metric per (from slot, to slot),
+	// row-major, during the exhaustive search; unscored until first read.
+	memo []qos.Metric
 }
 
-// chainMetric returns the optimal metric of chain fragment idx with both
-// junction endpoints fixed (memoized; Unreachable when infeasible).
-func (s *solver) chainMetric(idx, fromNID, toNID int) qos.Metric {
-	key := chainKey{idx: idx, from: fromNID, to: toNID}
-	if m, ok := s.memo[key]; ok {
-		return m
-	}
-	m := qos.Unreachable
-	if r, err := solveChainPinned(s.ag, s.chains[idx], fromNID, toNID, s.pins); err == nil {
-		m = r.Metric
-	}
-	s.memo[key] = m
-	return m
+// unscored marks a memo entry not computed yet (no real metric has a
+// negative width).
+var unscored = qos.Metric{Bandwidth: -1}
+
+func (l *link) pin(fromNID, toNID int) {
+	l.layers[0][0] = fromNID
+	l.layers[len(l.layers)-1][0] = toNID
 }
 
-// chooseJunctions assigns an instance to every junction service.
-func (s *solver) chooseJunctions(src int) (map[int]int, error) {
-	junctions := s.req.Junctions()
-	order := make([]int, 0, len(junctions))
-	isJunction := make(map[int]bool, len(junctions))
-	for _, j := range junctions {
-		isJunction[j] = true
+// compile builds the junction skeleton of ag's requirement. Pins are
+// already validated.
+func compile(ag *abstract.Graph, src int, pins map[int]int) (*solver, error) {
+	req := ag.Requirement()
+	candidates := func(sid int) []int {
+		if nid, ok := pins[sid]; ok {
+			return []int{nid}
+		}
+		return ag.Slots(sid)
 	}
-	for _, sid := range s.req.TopoOrder() {
-		if isJunction[sid] {
-			order = append(order, sid)
+	s := &solver{ag: ag, chains: PathReduction(req)}
+	index := make(map[int]int)
+	for _, sid := range req.Junctions() {
+		index[sid] = -1
+	}
+	for _, sid := range req.TopoOrder() {
+		if _, ok := index[sid]; ok {
+			index[sid] = len(s.sids)
+			s.sids = append(s.sids, sid)
 		}
 	}
-
-	cands := make(map[int][]int, len(order))
-	combos := 1
-	for _, sid := range order {
-		switch {
-		case sid == s.req.Source():
-			cands[sid] = []int{src}
-		default:
-			if nid, ok := s.pins[sid]; ok {
-				cands[sid] = []int{nid}
-			} else {
-				cands[sid] = s.ag.Slots(sid)
-			}
+	s.cands = make([][]int, len(s.sids))
+	for j, sid := range s.sids {
+		if sid == req.Source() {
+			s.cands[j] = []int{src}
+		} else {
+			s.cands[j] = candidates(sid)
 		}
-		if len(cands[sid]) == 0 {
+		if len(s.cands[j]) == 0 {
 			return nil, fmt.Errorf("%w: no instance of junction service %d", ErrInfeasible, sid)
 		}
+	}
+	for _, sid := range req.Sinks() {
+		s.sinks = append(s.sinks, index[sid])
+	}
+	s.in = make([][]int, len(s.sids))
+	s.out = make([][]int, len(s.sids))
+	s.links = make([]link, len(s.chains))
+	for i, c := range s.chains {
+		l := &s.links[i]
+		l.from, l.to = index[c.From], index[c.To]
+		l.services = c.Services()
+		l.layers = make([][]int, 0, len(l.services))
+		l.layers = append(l.layers, []int{0})
+		for _, sid := range c.Via {
+			l.layers = append(l.layers, candidates(sid))
+		}
+		l.layers = append(l.layers, []int{0})
+		s.in[l.to] = append(s.in[l.to], i)
+		s.out[l.from] = append(s.out[l.from], i)
+	}
+	s.metrics = make([]qos.Metric, len(s.chains))
+	s.dist = make([]int64, len(s.sids))
+	return s, nil
+}
+
+// score returns the optimal metric of chain i with its junction endpoints
+// fixed to the given slots (qos.Unreachable when infeasible).
+func (s *solver) score(i, fromSlot, toSlot int) qos.Metric {
+	l := &s.links[i]
+	l.pin(s.cands[l.from][fromSlot], s.cands[l.to][toSlot])
+	return baseline.LayersMetric(s.ag, l.layers, &s.sc)
+}
+
+// chainMetric is score memoized for the exhaustive search.
+func (s *solver) chainMetric(i, fromSlot, toSlot int) qos.Metric {
+	l := &s.links[i]
+	k := fromSlot*len(s.cands[l.to]) + toSlot
+	if l.memo[k] == unscored {
+		l.memo[k] = s.score(i, fromSlot, toSlot)
+	}
+	return l.memo[k]
+}
+
+// chooseJunctions assigns a candidate slot to every junction.
+func (s *solver) chooseJunctions() ([]int, error) {
+	combos := 1
+	for _, c := range s.cands {
 		if combos <= maxJunctionCombos {
-			combos *= len(cands[sid])
+			combos *= len(c)
 		}
 	}
 	if combos <= maxJunctionCombos {
-		return s.exhaustiveJunctions(order, cands)
+		return s.exhaustiveJunctions()
 	}
-	return s.greedyJunctions(order, cands)
+	return s.greedyJunctions()
 }
 
 // exhaustiveJunctions enumerates every junction combination in topological
 // order with branch-and-bound on the running bottleneck width. For each
 // complete combination the quality is the bottleneck over all chain
-// fragments plus the critical-path latency over the junction skeleton.
-func (s *solver) exhaustiveJunctions(order []int, cands map[int][]int) (map[int]int, error) {
-	// Chains whose head is a given junction (the tail junction comes
-	// earlier in topological order, so both ends are fixed when the head
-	// is assigned).
-	inChains := make(map[int][]int, len(order))
-	for i, c := range s.chains {
-		inChains[c.To] = append(inChains[c.To], i)
+// fragments plus the critical-path latency over the junction skeleton. A
+// chain's tail junction precedes its head in topological order, so both
+// ends are fixed when the head is assigned.
+func (s *solver) exhaustiveJunctions() ([]int, error) {
+	size := 0
+	for _, l := range s.links {
+		size += len(s.cands[l.from]) * len(s.cands[l.to])
+	}
+	memo := make([]qos.Metric, size)
+	for i := range memo {
+		memo[i] = unscored
+	}
+	for i := range s.links {
+		l := &s.links[i]
+		n := len(s.cands[l.from]) * len(s.cands[l.to])
+		l.memo, memo = memo[:n:n], memo[n:]
 	}
 
 	var (
-		assign     = make(map[int]int, len(order))
-		best       map[int]int
+		assign     = make([]int, len(s.sids))
+		best       []int
 		bestMetric = qos.Unreachable
 	)
-	var walk func(i int, width int64)
-	walk = func(i int, width int64) {
-		if i == len(order) {
-			m := s.comboMetric(assign, width)
-			if m.Reachable() && (best == nil || m.Better(bestMetric)) {
+	var walk func(j int, width int64)
+	walk = func(j int, width int64) {
+		if j == len(s.sids) {
+			for i := range s.links {
+				l := &s.links[i]
+				s.metrics[i] = s.chainMetric(i, assign[l.from], assign[l.to])
+			}
+			if m := s.quality(); best == nil || m.Better(bestMetric) {
 				bestMetric = m
-				best = make(map[int]int, len(assign))
-				for k, v := range assign {
-					best[k] = v
-				}
+				best = append(best[:0], assign...)
 			}
 			return
 		}
-		sid := order[i]
-		for _, nid := range cands[sid] {
+		for k := range s.cands[j] {
 			w := width
 			feasible := true
-			for _, ci := range inChains[sid] {
-				tail, ok := assign[s.chains[ci].From]
-				if !ok {
-					continue
-				}
-				m := s.chainMetric(ci, tail, nid)
+			for _, i := range s.in[j] {
+				m := s.chainMetric(i, assign[s.links[i].from], k)
 				if !m.Reachable() {
 					feasible = false
 					break
 				}
-				if m.Bandwidth < w {
-					w = m.Bandwidth
-				}
+				w = min(w, m.Bandwidth)
 			}
 			if !feasible {
 				continue
@@ -315,9 +384,8 @@ func (s *solver) exhaustiveJunctions(order []int, cands map[int][]int) (map[int]
 			if best != nil && w < bestMetric.Bandwidth {
 				continue
 			}
-			assign[sid] = nid
-			walk(i+1, w)
-			delete(assign, sid)
+			assign[j] = k
+			walk(j+1, w)
 		}
 	}
 	walk(0, qos.InfBandwidth)
@@ -327,101 +395,64 @@ func (s *solver) exhaustiveJunctions(order []int, cands map[int][]int) (map[int]
 	return best, nil
 }
 
-// comboMetric evaluates a complete junction assignment: width is the already
-// accumulated bottleneck over all chains; the latency is the critical path
-// over the junction skeleton with each skeleton edge weighing the maximum
-// latency among its parallel chain fragments.
-func (s *solver) comboMetric(assign map[int]int, width int64) qos.Metric {
-	skel := graph.New()
-	lat := make(map[[2]int]int64)
-	for i, c := range s.chains {
-		m := s.chainMetric(i, assign[c.From], assign[c.To])
-		if !m.Reachable() {
-			return qos.Unreachable
-		}
-		skel.AddEdge(c.From, c.To)
-		key := [2]int{c.From, c.To}
-		if m.Latency > lat[key] {
-			lat[key] = m.Latency
-		}
+// quality combines the reachable chain metrics in s.metrics into the
+// requirement's end-to-end metric: the bottleneck over all chains and the
+// critical path over the junction skeleton, relaxed in topological order,
+// each chain weighing its own latency.
+func (s *solver) quality() qos.Metric {
+	width := qos.InfBandwidth
+	for _, m := range s.metrics {
+		width = min(width, m.Bandwidth)
 	}
-	dist, err := skel.LongestPathFrom(s.req.Source(), func(u, v int) int64 {
-		return lat[[2]int{u, v}]
-	})
-	if err != nil {
-		return qos.Unreachable
+	clear(s.dist) // every junction is reached from the source, at index 0
+	for j, d := range s.dist {
+		for _, i := range s.out[j] {
+			to := s.links[i].to
+			s.dist[to] = max(s.dist[to], d+s.metrics[i].Latency)
+		}
 	}
 	var worst int64
-	for _, sink := range s.req.Sinks() {
-		if d, ok := dist[sink]; ok && d > worst {
-			worst = d
-		}
+	for _, j := range s.sinks {
+		worst = max(worst, s.dist[j])
 	}
 	return qos.Metric{Bandwidth: width, Latency: worst}
 }
 
 // greedyJunctions is the fallback for huge junction skeletons: junctions are
 // assigned in topological order, each scored by exactly solving its incoming
-// chain fragments.
-func (s *solver) greedyJunctions(order []int, cands map[int][]int) (map[int]int, error) {
-	inChains := make(map[int][]int, len(order))
-	for i, c := range s.chains {
-		inChains[c.To] = append(inChains[c.To], i)
-	}
-	chosen := make(map[int]int, len(order))
-	for i, sid := range order {
-		if i == 0 {
-			chosen[sid] = cands[sid][0]
-			continue
-		}
-		bestNID, bestScore := -1, qos.Unreachable
-		for _, nid := range cands[sid] {
+// chain fragments. Every (chain, tail, head) is scored at most once, so
+// nothing is memoized.
+func (s *solver) greedyJunctions() ([]int, error) {
+	chosen := make([]int, len(s.sids))
+	for j := 1; j < len(s.sids); j++ {
+		bestSlot, bestScore := -1, qos.Unreachable
+		for k := range s.cands[j] {
 			width := qos.InfBandwidth
 			var latency int64
 			ok := true
-			for _, ci := range inChains[sid] {
-				tail, have := chosen[s.chains[ci].From]
-				if !have {
-					continue
-				}
-				m := s.chainMetric(ci, tail, nid)
+			for _, i := range s.in[j] {
+				m := s.score(i, chosen[s.links[i].from], k)
 				if !m.Reachable() {
 					ok = false
 					break
 				}
-				if m.Bandwidth < width {
-					width = m.Bandwidth
-				}
-				if m.Latency > latency {
-					latency = m.Latency
-				}
+				width = min(width, m.Bandwidth)
+				latency = max(latency, m.Latency)
 			}
 			if !ok {
 				continue
 			}
 			score := qos.Metric{Bandwidth: width, Latency: latency}
-			if bestNID == -1 || score.Better(bestScore) {
-				bestNID, bestScore = nid, score
+			if bestSlot == -1 || score.Better(bestScore) {
+				bestSlot, bestScore = k, score
 			}
 		}
-		if bestNID == -1 {
-			return nil, fmt.Errorf("%w: no instance of junction service %d is reachable", ErrInfeasible, sid)
+		if bestSlot == -1 {
+			return nil, fmt.Errorf("%w: no instance of junction service %d is reachable", ErrInfeasible, s.sids[j])
 		}
-		chosen[sid] = bestNID
+		chosen[j] = bestSlot
 	}
 	return chosen, nil
-}
-
-// solveChainPinned solves one chain fragment with both junction endpoints
-// pinned, honouring any extra pins that fall inside the fragment.
-func solveChainPinned(ag *abstract.Graph, c Chain, fromNID, toNID int, pins map[int]int) (*baseline.Result, error) {
-	p := map[int]int{c.To: toNID}
-	for _, sid := range c.Via {
-		if nid, ok := pins[sid]; ok {
-			p[sid] = nid
-		}
-	}
-	return baseline.SolveChain(ag, c.Services(), fromNID, p)
 }
 
 func firstVia(c Chain) int {

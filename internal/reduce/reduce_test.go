@@ -1,10 +1,12 @@
 package reduce
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"sflow/internal/abstract"
+	"sflow/internal/baseline"
 	"sflow/internal/exact"
 	"sflow/internal/overlay"
 	"sflow/internal/require"
@@ -168,6 +170,27 @@ func TestSolveRejectsWrongSource(t *testing.T) {
 	ag, _ := diamondOverlay(t)
 	if _, err := Solve(ag, 20, nil); err == nil {
 		t.Fatal("wrong-service source accepted")
+	}
+}
+
+func TestSolveRejectsWrongServicePin(t *testing.T) {
+	ag, _ := diamondOverlay(t)
+	// Instance 20 provides service 2, not 4: a caller error, reported as
+	// such rather than as an infeasible requirement.
+	_, err := Solve(ag, 10, map[int]int{4: 20})
+	if err == nil || errors.Is(err, ErrInfeasible) || errors.Is(err, baseline.ErrInfeasible) {
+		t.Fatalf("err = %v, want a non-infeasible pin error", err)
+	}
+	if want := "baseline: pin 20 for service 4 provides service 2"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
+	}
+	// A pin on a chain interior is checked the same way.
+	if _, err := Solve(ag, 10, map[int]int{2: 30}); err == nil || errors.Is(err, ErrInfeasible) {
+		t.Fatalf("interior pin: err = %v, want a non-infeasible pin error", err)
+	}
+	// The source service's pin is ignored, as before: src plays its role.
+	if _, err := Solve(ag, 10, map[int]int{1: 20}); err != nil {
+		t.Fatalf("source pin: %v", err)
 	}
 }
 
