@@ -18,8 +18,9 @@ all: build test
 
 # Tier-1 gate: what CI runs on every PR. The equivalence-oracle property
 # tests of the incremental session run race-instrumented on every gate, as
-# does the serving daemon's concurrent-clients smoke.
-check: build vet test race-session race-daemon race-admit race-reopt race-lazy smoke
+# does the serving daemon's concurrent-clients smoke; the runnable examples
+# run too, so the public API they exercise stays working end to end.
+check: build vet test race-session race-daemon race-admit race-reopt race-lazy smoke examples
 
 # Race-instrumented end-to-end run of the metrics-enabled benchmark driver:
 # a small Fig 10(a) sweep at several workers with a snapshot written, the

@@ -3,10 +3,9 @@ package sflow
 import (
 	"time"
 
-	"sflow/internal/core"
-	"sflow/internal/overlay"
+	"sflow/internal/abstract"
 	"sflow/internal/provision"
-	"sflow/internal/qos"
+	"sflow/internal/solver"
 )
 
 // Multi-tenant admission surface: many concurrent tenants competing for the
@@ -195,29 +194,11 @@ func ReplayAdmissions(ov *Overlay, opts AllocatorOptions, log []AdmissionEvent, 
 // RegistryAlgorithm adapts any registered algorithm name to the
 // FederationAlgorithm shape provisioning and workload replay take: every
 // Algorithms() name dispatches through Solve with the given options, and
-// "sflow" runs the distributed protocol (core Options derived from
-// opts.Metrics; use SFlowAlgorithm for full protocol tuning). An unknown
-// name surfaces as ErrUnknownAlgorithm when the algorithm first runs.
+// "sflow" runs the distributed protocol (core Options carrying only
+// opts.Metrics). An unknown name surfaces as ErrUnknownAlgorithm when the
+// algorithm first runs.
 func RegistryAlgorithm(name string, opts SolveOptions) FederationAlgorithm {
-	if name == "sflow" {
-		return federateAlgorithm(Options{Metrics: opts.Metrics})
-	}
-	return func(ov *Overlay, req *Requirement, src int) (*FlowGraph, Metric, error) {
-		sol, err := Solve(name, ov, req, src, opts)
-		if err != nil {
-			return nil, qos.Unreachable, err
-		}
-		return sol.Flow, sol.Metric, nil
-	}
-}
-
-// federateAlgorithm adapts the distributed protocol with explicit Options.
-func federateAlgorithm(opts Options) FederationAlgorithm {
-	return func(ov *overlay.Overlay, req *Requirement, src int) (*FlowGraph, Metric, error) {
-		res, err := core.Federate(ov, req, src, opts)
-		if err != nil {
-			return nil, qos.Unreachable, err
-		}
-		return res.Flow, res.Metric, nil
-	}
+	return solver.Algorithm(name, opts, func(ov *Overlay, req *Requirement) (*abstract.Graph, error) {
+		return buildAbstract(ov, req, opts)
+	})
 }

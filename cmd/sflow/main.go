@@ -18,6 +18,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strings"
 
 	"sflow"
 )
@@ -38,7 +39,7 @@ func run(args []string, out io.Writer) error {
 		services     = fs.Int("services", 6, "number of required services")
 		instances    = fs.Int("instances", 3, "instances per non-source service")
 		kind         = fs.String("kind", "general", "requirement shape: path, disjoint, split-merge or general")
-		alg          = fs.String("alg", "sflow", "algorithm: sflow, baseline, heuristic, hierarchical, optimal, fixed, random or servicepath")
+		alg          = fs.String("alg", "sflow", "algorithm: sflow (distributed) or one of "+strings.Join(sflow.Algorithms(), ", "))
 		hops         = fs.Int("hops", 2, "local view radius for the sflow algorithm")
 		concurrent   = fs.Bool("concurrent", false, "run sflow on the goroutine transport instead of the DES")
 		loopback     = fs.Bool("loopback", false, "run sflow over real loopback TCP sockets")

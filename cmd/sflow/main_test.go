@@ -19,7 +19,13 @@ func runCmd(t *testing.T, args ...string) (string, error) {
 }
 
 func TestRunAlgorithms(t *testing.T) {
-	for _, alg := range []string{"sflow", "heuristic", "hierarchical", "optimal", "fixed", "random"} {
+	algs := []string{"sflow"}
+	for _, name := range sflow.Algorithms() {
+		if name != "baseline" { // path requirements only: TestRunBaselineNeedsPath
+			algs = append(algs, name)
+		}
+	}
+	for _, alg := range algs {
 		out, err := runCmd(t, "-seed", "3", "-size", "12", "-services", "4", "-alg", alg)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)

@@ -89,9 +89,7 @@ func ExampleBestChoice() {
 		}
 	}
 	res, err := sflow.BestChoice(ov, spec, 1,
-		func(o *sflow.Overlay, r *sflow.Requirement, s int) (*sflow.FlowGraph, sflow.Metric, error) {
-			return sflow.Optimal(o, r, s)
-		})
+		sflow.ChoiceSolver(sflow.RegistryAlgorithm("optimal", sflow.SolveOptions{})))
 	if err != nil {
 		panic(err)
 	}
@@ -116,7 +114,7 @@ func ExampleSimulateWorkload() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := sflow.SimulateWorkload(sc.Overlay, reqs, sflow.HeuristicAlgorithm())
+	res, err := sflow.SimulateWorkload(sc.Overlay, reqs, sflow.RegistryAlgorithm("heuristic", sflow.SolveOptions{}))
 	if err != nil {
 		panic(err)
 	}

@@ -41,9 +41,9 @@ func ExampleFederate() {
 	// bandwidth 80 latency 20
 }
 
-// ExampleBaseline solves a single service path exactly with the paper's
-// polynomial baseline algorithm.
-func ExampleBaseline() {
+// ExampleSolve_baseline solves a single service path exactly with the
+// paper's polynomial baseline algorithm.
+func ExampleSolve_baseline() {
 	ov := sflow.NewOverlay()
 	for _, in := range [][2]int{{1, 1}, {2, 2}, {3, 2}, {4, 3}} {
 		if err := ov.AddInstance(in[0], in[1], -1); err != nil {
@@ -62,11 +62,11 @@ func ExampleBaseline() {
 	if err != nil {
 		panic(err)
 	}
-	fg, m, err := sflow.Baseline(ov, req, 1)
+	sol, err := sflow.Solve("baseline", ov, req, 1, sflow.SolveOptions{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(fg, m.Bandwidth)
+	fmt.Println(sol.Flow, sol.Metric.Bandwidth)
 	// Output:
 	// flow{1/1 2/3 3/4} 50
 }
@@ -121,7 +121,7 @@ func ExampleNewProvisioner() {
 	p := sflow.NewProvisioner(ov)
 	admitted := 0
 	for {
-		if _, err := p.Admit(req, 1, 30, sflow.HeuristicAlgorithm()); err != nil {
+		if _, err := p.Admit(req, 1, 30, sflow.RegistryAlgorithm("heuristic", sflow.SolveOptions{})); err != nil {
 			break
 		}
 		admitted++
@@ -131,20 +131,21 @@ func ExampleNewProvisioner() {
 	// 3 90
 }
 
-// ExampleRandomPlacement shows the random control algorithm with a seeded
+// ExampleSolve_random shows the random control algorithm with a seeded
 // generator.
-func ExampleRandomPlacement() {
+func ExampleSolve_random() {
 	sc, err := sflow.GenerateScenario(sflow.ScenarioConfig{
 		Seed: 7, NetworkSize: 15, Services: 4, InstancesPerService: 2,
 	})
 	if err != nil {
 		panic(err)
 	}
-	fg, m, err := sflow.RandomPlacement(sc.Overlay, sc.Req, sc.SourceNID, rand.New(rand.NewSource(1)))
+	sol, err := sflow.Solve("random", sc.Overlay, sc.Req, sc.SourceNID,
+		sflow.SolveOptions{Rng: rand.New(rand.NewSource(1))})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(fg.Complete(sc.Req), m.Reachable())
+	fmt.Println(sol.Flow.Complete(sc.Req), sol.Metric.Reachable())
 	// Output:
 	// true true
 }

@@ -41,10 +41,10 @@ func run(w io.Writer) error {
 		name string
 		alg  sflow.FederationAlgorithm
 	}{
-		{"sflow (distributed)", sflow.SFlowAlgorithm(sflow.Options{})},
-		{"heuristic (central)", sflow.HeuristicAlgorithm()},
-		{"fixed", sflow.FixedAlgorithm()},
-		{"random", sflow.RandomAlgorithm(rand.New(rand.NewSource(1)))},
+		{"sflow (distributed)", sflow.RegistryAlgorithm("sflow", sflow.SolveOptions{})},
+		{"heuristic (central)", sflow.RegistryAlgorithm("heuristic", sflow.SolveOptions{})},
+		{"fixed", sflow.RegistryAlgorithm("fixed", sflow.SolveOptions{})},
+		{"random", sflow.RegistryAlgorithm("random", sflow.SolveOptions{Rng: rand.New(rand.NewSource(1))})},
 	}
 	for _, a := range algs {
 		p := sflow.NewProvisioner(sc.Overlay)
@@ -71,7 +71,7 @@ func run(w io.Writer) error {
 	p := sflow.NewProvisioner(sc.Overlay)
 	var first, last *sflow.Admission
 	for {
-		a, err := p.Admit(sc.Req, sc.SourceNID, demand, sflow.SFlowAlgorithm(sflow.Options{}))
+		a, err := p.Admit(sc.Req, sc.SourceNID, demand, sflow.RegistryAlgorithm("sflow", sflow.SolveOptions{}))
 		if err != nil {
 			break
 		}

@@ -11,6 +11,8 @@ import (
 	"sflow/internal/flow"
 	"sflow/internal/overlay"
 	"sflow/internal/provision"
+	"sflow/internal/scenario"
+	"sflow/internal/solver"
 )
 
 // sortedOverlayLinks canonicalizes an overlay's links for deep comparison.
@@ -238,5 +240,47 @@ func TestAdmissionIndependentOfEpochMutations(t *testing.T) {
 	}
 	if len(tr.Tenants) != 1 {
 		t.Fatalf("tenants after mutation = %+v", tr.Tenants)
+	}
+}
+
+// The daemon serves exactly the registry's abstract-graph algorithms, for
+// solves and admissions alike. "hierarchical" and "sflow" come back as
+// in-band errors, refused before the allocator records anything.
+func TestServedAlgorithmNames(t *testing.T) {
+	// A path requirement, so baseline and servicepath federate completely.
+	sc, err := scenario.Generate(scenario.Config{
+		Seed: 5, NetworkSize: 20, Services: 5,
+		InstancesPerService: 3, Kind: scenario.KindPath,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, sc, Options{Workers: 1})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for _, name := range append(solver.Names(), solver.SFlow) {
+		served := name != solver.Hierarchical && name != solver.SFlow
+		sr, err := c.Solve(name, sc.Req, sc.SourceNID)
+		if err != nil {
+			t.Fatalf("solve %s: transport error %v", name, err)
+		}
+		if served != (sr.Err == "") {
+			t.Fatalf("solve %s: served %v, response error %q", name, served, sr.Err)
+		}
+		before := len(srv.Allocator().Log())
+		ar, err := c.Admit(name, sc.Req, sc.SourceNID, 10, 0, 0)
+		if err != nil {
+			t.Fatalf("admit %s: transport error %v", name, err)
+		}
+		if served != (ar.Err == "") {
+			t.Fatalf("admit %s: served %v, response error %q", name, served, ar.Err)
+		}
+		if after := len(srv.Allocator().Log()); !served && after != before {
+			t.Fatalf("admit %s: refused name reached the allocator (log %d -> %d)", name, before, after)
+		}
 	}
 }

@@ -20,24 +20,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
 	"sflow/internal/abstract"
-	"sflow/internal/baseline"
-	"sflow/internal/control"
 	"sflow/internal/core"
-	"sflow/internal/exact"
-	"sflow/internal/flow"
 	"sflow/internal/metrics"
 	"sflow/internal/overlay"
 	"sflow/internal/provision"
 	"sflow/internal/qos"
-	"sflow/internal/reduce"
 	"sflow/internal/reopt"
 	"sflow/internal/require"
 	"sflow/internal/session"
+	"sflow/internal/solver"
 	"sflow/internal/transport"
 )
 
@@ -369,66 +364,18 @@ func (s *Server) pin() *epoch {
 
 func unpin(e *epoch) { e.readers.Add(-1) }
 
-// solution is one centralised algorithm outcome over an abstract graph.
-type solution struct {
-	flow   *flow.Graph
-	metric qos.Metric
-}
-
-// abstractSolver mirrors the facade's per-algorithm dispatch, rebuilt here
-// over the internal packages (the daemon cannot import the root package).
-// Byte-identical outcomes to sflow.Solve are asserted by the root-level
-// equivalence battery.
-type abstractSolver func(ag *abstract.Graph, src int) (*solution, error)
-
-var solvers = map[string]abstractSolver{
-	"baseline": func(ag *abstract.Graph, src int) (*solution, error) {
-		r, err := baseline.Solve(ag, src, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
-	"heuristic": func(ag *abstract.Graph, src int) (*solution, error) {
-		r, err := reduce.Solve(ag, src, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
-	"optimal": func(ag *abstract.Graph, src int) (*solution, error) {
-		r, err := exact.Solve(ag, src, exact.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
-	"fixed": func(ag *abstract.Graph, src int) (*solution, error) {
-		r, err := control.Fixed(ag, src)
-		if err != nil {
-			return nil, err
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
-	"random": func(ag *abstract.Graph, src int) (*solution, error) {
-		// The facade defaults a nil Rng to a fixed seed per call; match it
-		// so served and stateless solves agree byte for byte.
-		r, err := control.Random(ag, src, rand.New(rand.NewSource(1)))
-		if err != nil {
-			return nil, err
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
-	"servicepath": func(ag *abstract.Graph, src int) (*solution, error) {
-		r, err := control.ServicePath(ag, src)
-		if err != nil {
-			return nil, err
-		}
-		if !r.Complete {
-			return nil, &core.PartialFederationError{Flow: r.Flow}
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
+// served resolves a name the daemon serves: exactly the registry's
+// abstract-graph algorithms. "hierarchical" needs the raw overlay and
+// "sflow" the message-passing protocol, so both are refused up front like
+// unknown names. Solves and admissions pass a nil rng, re-seeding "random"
+// per call, so served answers match stateless solves and every recorded
+// admission log replays exactly.
+func served(name string) (solver.Func, error) {
+	fn, err := solver.Lookup(name)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: unknown algorithm %q", name)
+	}
+	return fn, nil
 }
 
 // solve answers OpSolve against the pinned epoch. Everything on this path is
@@ -440,21 +387,21 @@ func (s *Server) solve(r *Request) *Response {
 	defer unpin(e)
 	resp := &Response{Epoch: e.id}
 
-	fn, ok := solvers[r.Algorithm]
-	if !ok {
-		resp.Err = fmt.Sprintf("daemon: unknown algorithm %q", r.Algorithm)
+	fn, err := served(r.Algorithm)
+	if err != nil {
+		resp.Err = err.Error()
 		return resp
 	}
 	if r.Requirement == nil {
 		resp.Err = "daemon: solve without a requirement"
 		return resp
 	}
-	sol, err := func() (*solution, error) {
+	sol, err := func() (*solver.Solution, error) {
 		ag, err := abstract.FromAllPairs(e.ov, r.Requirement, e.ap)
 		if err != nil {
 			return nil, err
 		}
-		return fn(ag, r.Source)
+		return fn(ag, r.Source, nil)
 	}()
 	if err != nil {
 		resp.Err = err.Error()
@@ -466,12 +413,12 @@ func (s *Server) solve(r *Request) *Response {
 			}
 		}
 	} else {
-		data, merr := json.Marshal(sol.flow)
+		data, merr := json.Marshal(sol.Flow)
 		if merr != nil {
 			resp.Err = fmt.Sprintf("daemon: encoding flow: %v", merr)
 		} else {
 			resp.Flow = data
-			m := sol.metric
+			m := sol.Metric
 			resp.Metric = &m
 		}
 	}
@@ -495,26 +442,13 @@ func (s *Server) info() *Response {
 
 // --- admission path --------------------------------------------------------
 
-// admissionAlgorithm adapts one named solver to the allocator's Algorithm
-// shape, federating over the allocator's residual overlay. The daemon serves
-// the deterministic registry algorithms only ("random" included: its rng is
-// re-seeded per call), so every recorded admission log replays exactly.
+// admissionAlgorithm adapts one served name to the allocator's Algorithm
+// shape, federating over the allocator's residual overlay.
 func admissionAlgorithm(name string) (provision.Algorithm, error) {
-	fn, ok := solvers[name]
-	if !ok {
-		return nil, fmt.Errorf("daemon: unknown algorithm %q", name)
+	if _, err := served(name); err != nil {
+		return nil, err
 	}
-	return func(ov *overlay.Overlay, req *require.Requirement, src int) (*flow.Graph, qos.Metric, error) {
-		ag, err := abstract.Build(ov, req)
-		if err != nil {
-			return nil, qos.Unreachable, err
-		}
-		sol, err := fn(ag, src)
-		if err != nil {
-			return nil, qos.Unreachable, err
-		}
-		return sol.flow, sol.metric, nil
-	}, nil
+	return solver.Algorithm(name, solver.Options{}, abstract.Build), nil
 }
 
 // admit answers OpAdmit on the RPC goroutine: the allocator's writer loop is

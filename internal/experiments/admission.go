@@ -5,14 +5,10 @@ import (
 	"math/rand"
 
 	"sflow/internal/abstract"
-	"sflow/internal/control"
-	"sflow/internal/core"
-	"sflow/internal/flow"
-	"sflow/internal/metrics"
 	"sflow/internal/overlay"
 	"sflow/internal/provision"
-	"sflow/internal/qos"
 	"sflow/internal/require"
+	"sflow/internal/solver"
 )
 
 // admissionDemand is the bandwidth each admitted request reserves.
@@ -39,15 +35,10 @@ func Admission(cfg Config) (*Series, error) {
 			return nil, err
 		}
 		vals := make(map[string]float64, len(cols))
-		algs := map[string]provision.Algorithm{
-			"sflow": federateAlg(cfg.Metrics),
-			"fixed": fixedAlg(cfg.Metrics),
-			"random": randomAlg(rand.New(rand.NewSource(
-				trialSeed(cfg.Seed, size, trial)+13)), cfg.Metrics),
-		}
-		for name, alg := range algs {
+		rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, size, trial) + 13))
+		for _, name := range cols {
 			m := provision.NewManagerMetrics(s.Overlay, cfg.Metrics)
-			n, err := m.AdmitUntilRejected(s.Req, s.SourceNID, admissionDemand, alg, admissionCap)
+			n, err := m.AdmitUntilRejected(s.Req, s.SourceNID, admissionDemand, cfg.algorithm(name, rng), admissionCap)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
@@ -68,44 +59,13 @@ func Admission(cfg Config) (*Series, error) {
 	}, nil
 }
 
-// federateAlg adapts the distributed sFlow protocol to the provisioning
-// Algorithm shape, instrumented into reg (nil disables).
-func federateAlg(reg *metrics.Registry) provision.Algorithm {
-	return func(ov *overlay.Overlay, req *require.Requirement, src int) (*flow.Graph, qos.Metric, error) {
-		res, err := core.Federate(ov, req, src, core.Options{Metrics: reg})
-		if err != nil {
-			return nil, qos.Unreachable, err
-		}
-		return res.Flow, res.Metric, nil
-	}
-}
-
-// fixedAlg adapts the fixed control algorithm.
-func fixedAlg(reg *metrics.Registry) provision.Algorithm {
-	return func(ov *overlay.Overlay, req *require.Requirement, src int) (*flow.Graph, qos.Metric, error) {
-		ag, err := abstract.BuildMetrics(ov, req, reg)
-		if err != nil {
-			return nil, qos.Unreachable, err
-		}
-		r, err := control.Fixed(ag, src)
-		if err != nil {
-			return nil, qos.Unreachable, err
-		}
-		return r.Flow, r.Metric, nil
-	}
-}
-
-// randomAlg adapts the random control algorithm with a dedicated rng.
-func randomAlg(rng *rand.Rand, reg *metrics.Registry) provision.Algorithm {
-	return func(ov *overlay.Overlay, req *require.Requirement, src int) (*flow.Graph, qos.Metric, error) {
-		ag, err := abstract.BuildMetrics(ov, req, reg)
-		if err != nil {
-			return nil, qos.Unreachable, err
-		}
-		r, err := control.Random(ag, src, rng)
-		if err != nil {
-			return nil, qos.Unreachable, err
-		}
-		return r.Flow, r.Metric, nil
-	}
+// algorithm returns the named registry algorithm as the admission sweeps run
+// it: abstract graphs built with BuildMetrics into cfg.Metrics, the
+// distributed protocol instrumented into it, and rng driving "random" across
+// every admission of the run.
+func (cfg Config) algorithm(name string, rng *rand.Rand) provision.Algorithm {
+	return solver.Algorithm(name, solver.Options{Rng: rng, Metrics: cfg.Metrics},
+		func(ov *overlay.Overlay, req *require.Requirement) (*abstract.Graph, error) {
+			return abstract.BuildMetrics(ov, req, cfg.Metrics)
+		})
 }

@@ -59,15 +59,10 @@ func Blocking(cfg Config) (*Series, error) {
 	err = forEachCell(len(cells), cfg.workers(), func(i int) error {
 		load, trial := loads[i/cfg.Trials], i%cfg.Trials
 		s := scenarios[trial]
-		algs := map[string]provision.Algorithm{
-			"sflow": federateAlg(cfg.Metrics),
-			"fixed": fixedAlg(cfg.Metrics),
-			"random": randomAlg(rand.New(rand.NewSource(
-				trialSeed(cfg.Seed, load, trial)+17)), cfg.Metrics),
-		}
+		rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, load, trial) + 17))
 		vals := make(map[string]float64, len(cols))
-		for name, alg := range algs {
-			p, err := blockingRun(s, alg, load,
+		for _, name := range cols {
+			p, err := blockingRun(s, cfg.algorithm(name, rng), load,
 				rand.New(rand.NewSource(trialSeed(cfg.Seed, load, trial)+31)), cfg.Metrics)
 			if err != nil {
 				return fmt.Errorf("experiments: blocking %s load %d trial %d: %w",

@@ -43,15 +43,10 @@ func Tenants(cfg Config) (*Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		algs := map[string]provision.Algorithm{
-			"sflow": federateAlg(cfg.Metrics),
-			"fixed": fixedAlg(cfg.Metrics),
-			"random": randomAlg(rand.New(rand.NewSource(
-				trialSeed(cfg.Seed, size, trial)+13)), cfg.Metrics),
-		}
+		rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, size, trial) + 13))
 		vals := make(map[string]float64, len(cols))
 		for _, name := range algNames {
-			ratio, jain, err := tenantRun(s.Overlay, s.Req, s.SourceNID, algs[name],
+			ratio, jain, err := tenantRun(s.Overlay, s.Req, s.SourceNID, cfg.algorithm(name, rng),
 				rand.New(rand.NewSource(trialSeed(cfg.Seed, size, trial)+41)), cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)

@@ -1,11 +1,9 @@
 package sflow
 
 import (
-	"fmt"
-	"strings"
-
-	"sflow/internal/cluster"
+	"sflow/internal/abstract"
 	"sflow/internal/session"
+	"sflow/internal/solver"
 )
 
 // SessionOptions tunes a federation Session. The zero value is ready to use.
@@ -45,42 +43,17 @@ func NewSession(ov *Overlay, opts SessionOptions) *Session {
 
 // Solve runs the named centralised federation algorithm (the same registry as
 // the package-level Solve; see Algorithms) against the session's maintained
-// caches instead of rebuilding the abstract graph. SolveOptions.Workers is
-// ignored here — the session's own worker bound governs its flushes.
+// caches instead of rebuilding the abstract graph. SolveOptions.Lazy is
+// ignored here — the session's own routing mode governs — and so is
+// SolveOptions.Workers for every algorithm but "hierarchical": the session's
+// own worker bound governs its flushes.
 //
 // "hierarchical" is the one algorithm that cannot be served from the caches:
 // the cluster hierarchy summarises the raw overlay itself, so it runs
 // directly over the session's current overlay.
 func (s *Session) Solve(name string, req *Requirement, src int, opts SolveOptions) (*Solution, error) {
-	if name == "hierarchical" {
-		k := opts.ClusterK
-		if k == 0 {
-			k = 4
-		}
-		ov := s.Session.Overlay()
-		if n := ov.NumInstances(); k > n {
-			k = n
-		}
-		var r *cluster.Result
-		var err error
-		if opts.Contracted {
-			r, err = cluster.FederateContracted(ov, req, src, k, opts.Workers)
-		} else {
-			r, err = cluster.FederateWith(ov, req, src, k, cluster.Options{Lazy: s.Session.Lazy(), Workers: opts.Workers})
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	}
-	fn, ok := abstractSolvers[name]
-	if !ok {
-		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownAlgorithm,
-			name, strings.Join(Algorithms(), ", "))
-	}
-	ag, err := s.Session.Abstract(req)
-	if err != nil {
-		return nil, err
-	}
-	return fn(ag, src, opts)
+	opts.Lazy = s.Session.Lazy()
+	return solver.Solve(name, s.Session.Overlay(), req, src, opts, func(_ *Overlay, req *Requirement) (*abstract.Graph, error) {
+		return s.Session.Abstract(req)
+	})
 }

@@ -17,8 +17,10 @@
 // requirements, the reduction heuristic for general DAGs, the exhaustive
 // optimal, the fixed / random / servicepath controls and the hierarchical
 // cluster federation — run through the unified Solve entry point (see
-// Algorithms for the names); the historical per-algorithm functions remain
-// as deprecated wrappers.
+// Algorithms for the names), and RegistryAlgorithm adapts any of them, or
+// "sflow", for admission control. One internal registry backs Solve,
+// Session.Solve, RegistryAlgorithm, the sflowd daemon and the evaluation
+// sweeps alike.
 //
 // Passing a NewMetrics registry through Options.Metrics,
 // SolveOptions.Metrics or ExperimentConfig.Metrics collects counters,
@@ -179,57 +181,6 @@ func GenerateLargeScenario(cfg LargeScenarioConfig) (*Scenario, error) {
 // overlay until the sinks report the completed flow graph.
 func Federate(ov *Overlay, req *Requirement, src int, opts Options) (*Result, error) {
 	return core.Federate(ov, req, src, opts)
-}
-
-// Baseline runs the paper's polynomial baseline algorithm on a single-path
-// requirement (Table 1): all-pairs shortest-widest, abstract graph,
-// shortest-widest abstract path, expansion.
-//
-// Deprecated: use Solve("baseline", ov, req, src, SolveOptions{}).
-func Baseline(ov *Overlay, req *Requirement, src int) (*FlowGraph, Metric, error) {
-	return legacySolve("baseline", ov, req, src, SolveOptions{})
-}
-
-// Heuristic runs the centralised reduction heuristic (path reduction +
-// split-and-merge reduction over the baseline) on an arbitrary requirement.
-//
-// Deprecated: use Solve("heuristic", ov, req, src, SolveOptions{}).
-func Heuristic(ov *Overlay, req *Requirement, src int) (*FlowGraph, Metric, error) {
-	return legacySolve("heuristic", ov, req, src, SolveOptions{})
-}
-
-// Optimal computes the globally optimal service flow graph by exhaustive
-// branch-and-bound search — exponential in general (Theorem 1), intended for
-// small instances and benchmarking.
-//
-// Deprecated: use Solve("optimal", ov, req, src, SolveOptions{}).
-func Optimal(ov *Overlay, req *Requirement, src int) (*FlowGraph, Metric, error) {
-	return legacySolve("optimal", ov, req, src, SolveOptions{})
-}
-
-// Fixed runs the fixed control algorithm: each service on the instance
-// behind the widest direct link, no lookahead.
-//
-// Deprecated: use Solve("fixed", ov, req, src, SolveOptions{}).
-func Fixed(ov *Overlay, req *Requirement, src int) (*FlowGraph, Metric, error) {
-	return legacySolve("fixed", ov, req, src, SolveOptions{})
-}
-
-// RandomPlacement runs the random control algorithm with the given rng.
-//
-// Deprecated: use Solve("random", ov, req, src, SolveOptions{Rng: rng}).
-func RandomPlacement(ov *Overlay, req *Requirement, src int, rng *rand.Rand) (*FlowGraph, Metric, error) {
-	return legacySolve("random", ov, req, src, SolveOptions{Rng: rng})
-}
-
-// ServicePath runs the end-to-end single-path control algorithm (Gu et al.).
-// On non-path requirements it only federates the main (longest) chain: the
-// returned flow graph is partial, the metric unreachable, and the error is a
-// *PartialFederationError matching errors.Is(err, ErrPartialFederation).
-//
-// Deprecated: use Solve("servicepath", ov, req, src, SolveOptions{}).
-func ServicePath(ov *Overlay, req *Requirement, src int) (*FlowGraph, Metric, error) {
-	return legacySolve("servicepath", ov, req, src, SolveOptions{})
 }
 
 // RepairResult is the outcome of repairing a federation after instance
@@ -417,32 +368,6 @@ func NewProvisioner(ov *Overlay) *Provisioner { return provision.NewManager(ov) 
 // residual-bandwidth utilization histogram.
 func NewProvisionerMetrics(ov *Overlay, reg *Metrics) *Provisioner {
 	return provision.NewManagerMetrics(ov, reg)
-}
-
-// SFlowAlgorithm adapts the distributed sFlow protocol for provisioning with
-// explicit protocol Options (faults, reliability, tracing).
-//
-// Deprecated: use RegistryAlgorithm("sflow", SolveOptions{Metrics: opts.Metrics});
-// this wrapper remains only for tuning the full core Options.
-func SFlowAlgorithm(opts Options) FederationAlgorithm { return federateAlgorithm(opts) }
-
-// FixedAlgorithm adapts the fixed control algorithm for provisioning.
-//
-// Deprecated: use RegistryAlgorithm("fixed", SolveOptions{}).
-func FixedAlgorithm() FederationAlgorithm { return RegistryAlgorithm("fixed", SolveOptions{}) }
-
-// RandomAlgorithm adapts the random control algorithm for provisioning.
-//
-// Deprecated: use RegistryAlgorithm("random", SolveOptions{Rng: rng}).
-func RandomAlgorithm(rng *rand.Rand) FederationAlgorithm {
-	return RegistryAlgorithm("random", SolveOptions{Rng: rng})
-}
-
-// HeuristicAlgorithm adapts the centralised reduction heuristic.
-//
-// Deprecated: use RegistryAlgorithm("heuristic", SolveOptions{}).
-func HeuristicAlgorithm() FederationAlgorithm {
-	return RegistryAlgorithm("heuristic", SolveOptions{})
 }
 
 // Theorem 1 surface: the reduction from SAT to the Maximum Service Flow

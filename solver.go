@@ -1,21 +1,11 @@
 package sflow
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
-	"sort"
-	"strings"
-
 	"sflow/internal/abstract"
-	"sflow/internal/baseline"
-	"sflow/internal/cluster"
-	"sflow/internal/control"
 	"sflow/internal/core"
-	"sflow/internal/exact"
 	"sflow/internal/metrics"
 	"sflow/internal/qos"
-	"sflow/internal/reduce"
+	"sflow/internal/solver"
 )
 
 // Metrics is a registry of counters, gauges and histograms that the library
@@ -42,47 +32,15 @@ var Unreachable = qos.Unreachable
 
 // Solution is the outcome of one centralised federation algorithm: the
 // computed service flow graph and its end-to-end quality.
-type Solution struct {
-	Flow   *FlowGraph
-	Metric Metric
-}
+type Solution = solver.Solution
 
-// SolveOptions tunes Solve. The zero value is ready to use.
-type SolveOptions struct {
-	// Rng drives the "random" algorithm. Nil defaults to a fixed seed so
-	// Solve stays reproducible by default.
-	Rng *rand.Rand
-	// ClusterK is the cluster count of the "hierarchical" algorithm
-	// (0 defaults to 4, clamped to the overlay's instance count).
-	ClusterK int
-	// Workers bounds the all-pairs shortest-widest fan-out behind the
-	// abstract-graph build: 0 uses runtime.GOMAXPROCS(0), 1 forces the
-	// sequential computation.
-	Workers int
-	// Metrics, when non-nil, collects instrumentation from the build and
-	// the algorithm run.
-	Metrics *Metrics
-	// Lazy routes demand-driven: no all-pairs computation runs up front, and
-	// only the shortest-widest rows the chosen algorithm actually reads —
-	// the rows of instances populating service slots — are computed. Answers
-	// are byte-identical to eager mode for every algorithm; the cost stops
-	// scaling with overlay size, which is what makes 10k–100k-node overlays
-	// interactive. For "hierarchical", Lazy prices clusters and solves the
-	// intra-cluster problem from lazy tables.
-	Lazy bool
-	// Contracted switches the "hierarchical" algorithm to the large-overlay
-	// fast path: O(E) BFS clustering, inter-cluster routing on the
-	// contracted k-node cluster digraph, and a lazily expanded
-	// instance-level solve inside the chosen clusters. Cluster pairs are
-	// priced by their best boundary link rather than exact member-pair
-	// routes, so flows may differ from the classic hierarchical algorithm
-	// (they remain valid federations with exact instance-level routes).
-	// Ignored by the other algorithms.
-	Contracted bool
-}
+// SolveOptions tunes Solve: the rng of "random", the cluster count and
+// large-overlay switches of "hierarchical", the all-pairs worker bound and
+// the metrics registry. The zero value is ready to use.
+type SolveOptions = solver.Options
 
 // ErrUnknownAlgorithm is returned by Solve for a name outside Algorithms().
-var ErrUnknownAlgorithm = errors.New("sflow: unknown algorithm")
+var ErrUnknownAlgorithm = solver.ErrUnknownAlgorithm
 
 // ErrPartialFederation is the sentinel wrapped by every error that carries a
 // partial federation: the algorithm placed only part of the requirement
@@ -108,74 +66,8 @@ func buildAbstract(ov *Overlay, req *Requirement, opts SolveOptions) (*abstract.
 	return abstract.BuildWorkersMetrics(ov, req, opts.Workers, opts.Metrics)
 }
 
-// abstractSolver runs one named algorithm over a pre-built abstract graph.
-type abstractSolver func(ag *abstract.Graph, src int, opts SolveOptions) (*Solution, error)
-
-// abstractSolvers maps algorithm names to implementations sharing one
-// abstract-graph build. "hierarchical" is dispatched separately by Solve
-// because the cluster hierarchy works on the raw overlay.
-var abstractSolvers = map[string]abstractSolver{
-	"baseline": func(ag *abstract.Graph, src int, _ SolveOptions) (*Solution, error) {
-		r, err := baseline.Solve(ag, src, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
-	"heuristic": func(ag *abstract.Graph, src int, _ SolveOptions) (*Solution, error) {
-		r, err := reduce.Solve(ag, src, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
-	"optimal": func(ag *abstract.Graph, src int, _ SolveOptions) (*Solution, error) {
-		r, err := exact.Solve(ag, src, exact.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
-	"fixed": func(ag *abstract.Graph, src int, _ SolveOptions) (*Solution, error) {
-		r, err := control.Fixed(ag, src)
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
-	"random": func(ag *abstract.Graph, src int, opts SolveOptions) (*Solution, error) {
-		rng := opts.Rng
-		if rng == nil {
-			rng = rand.New(rand.NewSource(1))
-		}
-		r, err := control.Random(ag, src, rng)
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
-	"servicepath": func(ag *abstract.Graph, src int, _ SolveOptions) (*Solution, error) {
-		r, err := control.ServicePath(ag, src)
-		if err != nil {
-			return nil, err
-		}
-		if !r.Complete {
-			return nil, &PartialFederationError{Flow: r.Flow}
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
-}
-
 // Algorithms lists the names Solve accepts, sorted.
-func Algorithms() []string {
-	names := make([]string, 0, len(abstractSolvers)+1)
-	for name := range abstractSolvers {
-		names = append(names, name)
-	}
-	names = append(names, "hierarchical")
-	sort.Strings(names)
-	return names
-}
+func Algorithms() []string { return solver.Names() }
 
 // Solve runs the named centralised federation algorithm over the overlay:
 //
@@ -193,49 +85,7 @@ func Algorithms() []string {
 // All algorithms except "hierarchical" share a single abstract-graph build.
 // The returned Solution is non-nil exactly when the error is nil.
 func Solve(name string, ov *Overlay, req *Requirement, src int, opts SolveOptions) (*Solution, error) {
-	if name == "hierarchical" {
-		k := opts.ClusterK
-		if k == 0 {
-			k = 4
-		}
-		if n := ov.NumInstances(); k > n {
-			k = n
-		}
-		var r *cluster.Result
-		var err error
-		if opts.Contracted {
-			r, err = cluster.FederateContracted(ov, req, src, k, opts.Workers)
-		} else {
-			r, err = cluster.FederateWith(ov, req, src, k, cluster.Options{Lazy: opts.Lazy, Workers: opts.Workers})
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	}
-	fn, ok := abstractSolvers[name]
-	if !ok {
-		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownAlgorithm,
-			name, strings.Join(Algorithms(), ", "))
-	}
-	ag, err := buildAbstract(ov, req, opts)
-	if err != nil {
-		return nil, err
-	}
-	return fn(ag, src, opts)
-}
-
-// legacySolve adapts Solve to the historical (flow, metric, error) wrapper
-// shape, surfacing partial federations as their flow graph plus the typed
-// error.
-func legacySolve(name string, ov *Overlay, req *Requirement, src int, opts SolveOptions) (*FlowGraph, Metric, error) {
-	sol, err := Solve(name, ov, req, src, opts)
-	if err != nil {
-		var partial *PartialFederationError
-		if errors.As(err, &partial) {
-			return partial.Flow, qos.Unreachable, err
-		}
-		return nil, qos.Unreachable, err
-	}
-	return sol.Flow, sol.Metric, nil
+	return solver.Solve(name, ov, req, src, opts, func(ov *Overlay, req *Requirement) (*abstract.Graph, error) {
+		return buildAbstract(ov, req, opts)
+	})
 }

@@ -2,7 +2,6 @@ package sflow_test
 
 import (
 	"errors"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -55,65 +54,6 @@ func TestSolveUnknownAlgorithm(t *testing.T) {
 	for _, name := range sflow.Algorithms() {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q should list %q", err, name)
-		}
-	}
-}
-
-// TestSolveMatchesLegacyWrappers pins the deprecated per-algorithm functions
-// to the registry: on a seeded scenario each wrapper and its Solve equivalent
-// must choose the same instances with the same quality.
-func TestSolveMatchesLegacyWrappers(t *testing.T) {
-	sc := pathScenario(t)
-	type legacy func() (*sflow.FlowGraph, sflow.Metric, error)
-	cases := []struct {
-		name   string
-		opts   sflow.SolveOptions
-		legacy legacy
-	}{
-		{"baseline", sflow.SolveOptions{}, func() (*sflow.FlowGraph, sflow.Metric, error) {
-			return sflow.Baseline(sc.Overlay, sc.Req, sc.SourceNID)
-		}},
-		{"heuristic", sflow.SolveOptions{}, func() (*sflow.FlowGraph, sflow.Metric, error) {
-			return sflow.Heuristic(sc.Overlay, sc.Req, sc.SourceNID)
-		}},
-		{"optimal", sflow.SolveOptions{}, func() (*sflow.FlowGraph, sflow.Metric, error) {
-			return sflow.Optimal(sc.Overlay, sc.Req, sc.SourceNID)
-		}},
-		{"fixed", sflow.SolveOptions{}, func() (*sflow.FlowGraph, sflow.Metric, error) {
-			return sflow.Fixed(sc.Overlay, sc.Req, sc.SourceNID)
-		}},
-		{"random", sflow.SolveOptions{Rng: rand.New(rand.NewSource(9))}, func() (*sflow.FlowGraph, sflow.Metric, error) {
-			return sflow.RandomPlacement(sc.Overlay, sc.Req, sc.SourceNID, rand.New(rand.NewSource(9)))
-		}},
-		{"servicepath", sflow.SolveOptions{}, func() (*sflow.FlowGraph, sflow.Metric, error) {
-			return sflow.ServicePath(sc.Overlay, sc.Req, sc.SourceNID)
-		}},
-		{"hierarchical", sflow.SolveOptions{ClusterK: 4}, func() (*sflow.FlowGraph, sflow.Metric, error) {
-			return sflow.Hierarchical(sc.Overlay, sc.Req, sc.SourceNID, 4)
-		}},
-	}
-	for _, tc := range cases {
-		sol, err := sflow.Solve(tc.name, sc.Overlay, sc.Req, sc.SourceNID, tc.opts)
-		if err != nil {
-			t.Fatalf("Solve(%s): %v", tc.name, err)
-		}
-		fg, m, err := tc.legacy()
-		if err != nil {
-			t.Fatalf("legacy %s: %v", tc.name, err)
-		}
-		if sol.Metric != m {
-			t.Fatalf("%s: Solve metric %+v != legacy %+v", tc.name, sol.Metric, m)
-		}
-		want := fg.Assignment()
-		got := sol.Flow.Assignment()
-		if len(got) != len(want) {
-			t.Fatalf("%s: assignment sizes differ: %v vs %v", tc.name, got, want)
-		}
-		for sid, nid := range want {
-			if got[sid] != nid {
-				t.Fatalf("%s: service %d on instance %d (Solve) vs %d (legacy)",
-					tc.name, sid, got[sid], nid)
-			}
 		}
 	}
 }
