@@ -41,12 +41,13 @@ race:
 race-hot:
 	$(GO) test -race ./internal/metrics/... ./internal/transport/... ./internal/core/... ./internal/experiments/... ./internal/qos/... ./internal/session/...
 
-# Race-instrumented equivalence-oracle tests: the session's incremental
-# flushes fan per-source recomputation out over a worker pool, so the oracle
-# traces run under the race detector on every check (-short keeps the gate
-# fast; the full 5x1000-event traces run in `make race-hot` and CI).
+# Race-instrumented equivalence-oracle tests: the session's eager fill fans
+# per-source recomputation out over a worker pool, so the oracle traces (one
+# of them at four workers) and the dirty-set and counter checks run under the
+# race detector on every check (-short keeps the gate fast; the full
+# 5x1000-event traces run in `make race-hot` and CI).
 race-session:
-	$(GO) test -race -short ./internal/session/ -run 'TestEquivalenceOracleTrace|TestBatchedEventsSingleFlush'
+	$(GO) test -race -short ./internal/session/ -run 'TestEquivalenceOracleTrace|TestBatchedEventsSingleFlush|TestEager|TestIncrementalCounters'
 
 # Race-instrumented serving smoke: concurrent TCP clients solving against
 # sflowd's epoch machinery while another client streams mutations, plus the
@@ -63,13 +64,14 @@ race-admit:
 	$(GO) test -race ./internal/daemon/ -run 'TestAdmitReleaseTenantsRPC|TestConcurrentAdmitRPCMatchesSequentialReplay'
 	$(GO) test -race . -run 'TestAllocatorPublicAPI|TestReplayAdmissionsWithNilAlgFor'
 
-# Race-instrumented lazy-routing battery: the single-flight row memoization
-# is the one place concurrent readers share mutable state with a computing
-# goroutine, so the qos lazy tests, the lazy churn oracle and the root
+# Race-instrumented routing-table battery: the single-flight row memoization
+# and the shared scratch free list are the places concurrent readers share
+# mutable state with a computing goroutine, so the qos table tests (lazy
+# reads, eager fills, publication), the lazy churn oracle and the root
 # byte-equivalence battery all run under the race detector on every check.
 race-lazy:
-	$(GO) test -race ./internal/qos/ -run 'TestLazy|TestIncrementalLazy|FuzzLazyInvalidation'
-	$(GO) test -race -short ./internal/session/ -run 'TestLazyEquivalenceOracleTrace|TestLazySnapshotIsConsistentAndImmutable'
+	$(GO) test -race ./internal/qos/ -run 'TestLazy|TestIncremental|TestSnapshot|TestScratchList|FuzzLazyInvalidation'
+	$(GO) test -race -short ./internal/session/ -run 'TestLazyEquivalenceOracleTrace|TestLazySnapshotIsConsistentAndImmutable|TestLazySessionFlushDefersRouting'
 	$(GO) test -race -short . -run 'TestLazySolveByteIdentical|TestLazySessionSolveByteIdentical|TestContractedHierarchicalSolves'
 
 # Race-instrumented re-optimization battery: the link-load ledger must

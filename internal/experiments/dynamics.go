@@ -76,8 +76,8 @@ func Dynamics(cfg Config) (*Series, error) {
 				return nil, err
 			}
 
-			// Incremental path: flush the dirty sources, solve from the
-			// maintained caches.
+			// Incremental path: the session evicts and refills the dirty
+			// sources, then the solve reads the maintained caches.
 			before := sess.Stats().RecomputedSources
 			start := time.Now()
 			ag, incErr := sess.Abstract(s.Req)

@@ -215,17 +215,18 @@ func BenchmarkShortestWidestTiers(b *testing.B) {
 }
 
 // BenchmarkIncrementalFlush prices the steady-state single-link-churn flush
-// the sessions run on: one out-list re-weighted, exact dirty set recomputed
-// on the re-frozen CSR with persistent per-worker scratches.
+// eager sessions run: one out-list re-weighted, the readers index evicts the
+// exact dirty set, and the fill recomputes it on the re-frozen CSR with
+// reused scratches.
 func BenchmarkIncrementalFlush(b *testing.B) {
 	g := benchGraph(120)
 	u := g.Nodes()[0]
-	inc := NewIncremental(g, 1, nil)
+	lt := filledTable(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inc.OutChanged(u)
-		if inc.Flush() == 0 {
+		lt.OutChanged(u)
+		if fill(lt, 1) == 0 {
 			b.Fatal("nothing recomputed")
 		}
 	}

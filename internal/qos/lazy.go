@@ -8,20 +8,26 @@
 // demand: a row is computed by the dense CSR kernels the first time any
 // reader asks for it, memoized, and — because shortestWidest(g, s) is a pure
 // function of the out-arc lists it actually reads — stays valid until a
-// mutation touches a node the row's run read. Invalidation therefore reuses
-// exactly the reverse-dependency ("readers") argument behind Incremental:
-// OutChanged(u) evicts precisely the materialized rows whose sources reach u,
-// and rows nobody materialized cost nothing to invalidate.
+// mutation touches a node the row's run read. Tracking, per node, the sources
+// whose row read it (the reverse-dependency "readers" index) turns a mutation
+// into an exact eviction set: OutChanged(u) evicts precisely the materialized
+// rows whose sources reach u, rows nobody materialized cost nothing to
+// invalidate, and recomputing the evicted rows reproduces the from-scratch
+// table bit for bit, selected paths included.
 //
-// Concurrency: the read methods (Metric, Path, From, Sources, Prefetch,
-// Materialize) are safe for any number of concurrent readers; a per-source
-// single-flight latch guarantees that concurrent requests for the same
-// uncomputed row run the kernel exactly once and share the one Result. The
-// mutation methods (OutChanged, NodeAdded, NodeRemoved, Flush) follow
-// Incremental's single-writer contract: they must be serialized with each
-// other AND with reads of the live table — which is what session.Session's
-// one-goroutine contract and the daemon's RCU epochs already provide
-// (concurrent readers only ever touch immutable Snapshots).
+// This is the module's only routing-table maintenance path. An eager session
+// runs the same table and, after each Flush, fills every missing row (see
+// Materialize), so its table always equals ComputeAllPairs.
+//
+// Concurrency: the read methods (Metric, Path, From, Sources, Missing,
+// Prefetch, Materialize) are safe for any number of concurrent readers; a
+// per-source single-flight latch guarantees that concurrent requests for the
+// same uncomputed row run the kernel exactly once and share the one Result.
+// The mutation methods (OutChanged, NodeAdded, NodeRemoved, Flush) are
+// single-writer: they must be serialized with each other AND with reads of
+// the live table — which is what session.Session's one-goroutine contract and
+// the daemon's RCU epochs already provide (concurrent readers only ever touch
+// immutable Snapshots).
 package qos
 
 import (
@@ -101,11 +107,40 @@ func TablesEqual(a, b Table) bool {
 	return true
 }
 
+// scratchList is a free list of dense-kernel Scratches. Unlike a sync.Pool it
+// survives garbage collection, so a table that reads a burst of rows once per
+// GC cycle (an eager session flushing between solves) keeps reusing warm
+// buffers instead of growing fresh ones. It keeps at most GOMAXPROCS
+// Scratches; returns beyond that are dropped.
+type scratchList struct {
+	mu   sync.Mutex
+	free []*Scratch
+}
+
+func (f *scratchList) get() *Scratch {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.free); n > 0 {
+		sc := f.free[n-1]
+		f.free = f.free[:n-1]
+		return sc
+	}
+	return NewScratch()
+}
+
+func (f *scratchList) put(sc *Scratch) {
+	f.mu.Lock()
+	if len(f.free) < runtime.GOMAXPROCS(0) {
+		f.free = append(f.free, sc)
+	}
+	f.mu.Unlock()
+}
+
 // lazyRow is the single-flight latch of one memoized row: the goroutine that
-// created the row computes res (published under the table mutex) and closes
+// created the row computes res (published under the table mutex) and marks
 // done; everyone else waits on done.
 type lazyRow struct {
-	done chan struct{}
+	done sync.WaitGroup
 	res  *Result
 }
 
@@ -157,9 +192,11 @@ type LazyAllPairs struct {
 	// snapshots, which can never go stale.
 	g      Graph
 	frozen *csr.Graph
-	// nodes is the frozen graph's node set, ascending. Replaced wholesale on
-	// re-freeze (never mutated in place), so snapshots may share it.
+	// nodes is the frozen graph's node set, ascending.
 	nodes []int
+	// pinned records that a Snapshot shares frozen and nodes: the next
+	// re-freeze then allocates fresh arrays instead of reusing them.
+	pinned bool
 	// rows holds the memoized (or in-flight) per-source results.
 	rows map[int]*lazyRow
 	// readers maps node u -> sources whose materialized row read Out(u):
@@ -177,10 +214,10 @@ type LazyAllPairs struct {
 	lru              map[int]*lruNode
 	lruHead, lruTail *lruNode
 
-	// pool shares dense-kernel scratch buffers between concurrent row
+	// scratches shares dense-kernel scratch buffers between concurrent row
 	// computations; shared with snapshots (Scratch use is exclusive while
 	// checked out).
-	pool *sync.Pool
+	scratches *scratchList
 
 	ins instr
 
@@ -204,14 +241,14 @@ func NewLazyAllPairs(g Graph, reg *metrics.Registry) *LazyAllPairs {
 func NewLazyAllPairsOpts(g Graph, opts LazyOptions) *LazyAllPairs {
 	reg := opts.Metrics
 	l := &LazyAllPairs{
-		g:       g,
-		rows:    make(map[int]*lazyRow),
-		readers: make(map[int]map[int]struct{}),
-		dirty:   make(map[int]struct{}),
-		stale:   true,
-		maxRows: opts.MaxRows,
-		pool:    &sync.Pool{New: func() any { return NewScratch() }},
-		ins:     instrFor(reg),
+		g:         g,
+		rows:      make(map[int]*lazyRow),
+		readers:   make(map[int]map[int]struct{}),
+		dirty:     make(map[int]struct{}),
+		stale:     true,
+		maxRows:   opts.MaxRows,
+		scratches: &scratchList{},
+		ins:       instrFor(reg),
 	}
 	if l.maxRows > 0 {
 		l.lru = make(map[int]*lruNode)
@@ -310,8 +347,8 @@ func (l *LazyAllPairs) lruEnforceLocked() {
 }
 
 // applyPendingLocked evicts the dirty rows and re-freezes a stale graph. The
-// caller holds l.mu. Re-freezing allocates a fresh CSR graph instead of
-// reusing storage: snapshots may still be routing on the old arrays.
+// caller holds l.mu. Re-freezing reuses the old arrays unless a snapshot
+// pinned them (it may still be routing on them).
 func (l *LazyAllPairs) applyPendingLocked() {
 	for src := range l.dirty {
 		if row, ok := l.rows[src]; ok {
@@ -329,17 +366,18 @@ func (l *LazyAllPairs) applyPendingLocked() {
 	}
 	if l.stale {
 		if l.g != nil {
-			l.frozen = FreezeGraph(l.g)
-			nodes := l.g.Nodes()
-			l.nodes = append([]int(nil), nodes...)
+			if l.pinned {
+				l.frozen, l.nodes, l.pinned = nil, nil, false
+			}
+			l.frozen = FreezeGraphInto(l.frozen, l.g)
+			l.nodes = append(l.nodes[:0], l.g.Nodes()...)
 			sort.Ints(l.nodes)
 		}
 		l.stale = false
 	}
 }
 
-// registerLocked adds src to the readers set of every node its row reached —
-// the same bookkeeping Incremental keeps eagerly, built here row by row.
+// registerLocked adds src to the readers set of every node its row reached.
 func (l *LazyAllPairs) registerLocked(src int, res *Result) {
 	for u := range res.Dist {
 		set, ok := l.readers[u]
@@ -351,14 +389,13 @@ func (l *LazyAllPairs) registerLocked(src int, res *Result) {
 	}
 }
 
+// unregisterLocked removes src from the readers set of every node its row
+// reached. An emptied set stays in the index: an eager fill evicts a whole
+// dirty set before re-registering it, and regrowing every set from empty
+// would allocate again what the eviction just released.
 func (l *LazyAllPairs) unregisterLocked(src int, res *Result) {
 	for u := range res.Dist {
-		if set, ok := l.readers[u]; ok {
-			delete(set, src)
-			if len(set) == 0 {
-				delete(l.readers, u)
-			}
-		}
+		delete(l.readers[u], src)
 	}
 }
 
@@ -388,22 +425,23 @@ func (l *LazyAllPairs) From(src int) *Result {
 			return row.res
 		}
 		// In flight: wait for the computing goroutine's result. res is
-		// published under l.mu before done is closed, so the read below is
-		// ordered by the channel close.
+		// published under l.mu before done is marked, so the read below is
+		// ordered by the Wait.
 		l.mu.Unlock()
 		l.dedupWaits.Add(1)
 		l.dedups.Inc()
-		<-row.done
+		row.done.Wait()
 		return row.res
 	}
-	row := &lazyRow{done: make(chan struct{})}
+	row := &lazyRow{}
+	row.done.Add(1)
 	l.rows[src] = row
 	frozen := l.frozen
 	l.mu.Unlock()
 
-	sc := l.pool.Get().(*Scratch)
+	sc := l.scratches.get()
 	res := shortestWidestDense(frozen, idx, sc, l.ins)
-	l.pool.Put(sc)
+	l.scratches.put(sc)
 
 	l.mu.Lock()
 	row.res = res
@@ -418,7 +456,7 @@ func (l *LazyAllPairs) From(src int) *Result {
 		l.lruEnforceLocked()
 	}
 	l.mu.Unlock()
-	close(row.done)
+	row.done.Done()
 	l.computed.Add(1)
 	l.rowsComputed.Inc()
 	return res
@@ -494,9 +532,9 @@ func (l *LazyAllPairs) NodeAdded(_ int) {
 	l.mu.Unlock()
 }
 
-// NodeRemoved records that n left along with its incident arcs. As with
-// Incremental, the caller must additionally report OutChanged for every
-// former in-neighbor of n.
+// NodeRemoved records that n left along with its incident arcs. The caller
+// must additionally report OutChanged for every former in-neighbor of n
+// (their out-arc lists shrank).
 func (l *LazyAllPairs) NodeRemoved(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -524,9 +562,9 @@ func (l *LazyAllPairs) Dirty() []int {
 }
 
 // Flush applies pending invalidation — evicting dirty rows and re-freezing
-// the graph — and returns how many rows were evicted. Unlike an eager
-// Incremental flush it runs NO routing: evicted rows recompute only if and
-// when someone reads them again.
+// the graph — and returns how many rows were evicted. It runs NO routing:
+// evicted rows recompute only if and when someone reads them again (or an
+// eager session's fill recomputes them at once).
 func (l *LazyAllPairs) Flush() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -573,15 +611,43 @@ func (l *LazyAllPairs) Prefetch(srcs []int, workers int) {
 	wg.Wait()
 }
 
-// Materialize computes every missing row and returns the table in eager
-// form — byte-identical to ComputeAllPairs on the current graph. It defeats
-// the point of laziness and exists for equivalence tests and for callers that
-// genuinely need the full table once.
+// Missing returns the members of srcs, in order, whose next read runs the
+// kernel: rows never computed (or dropped by the MaxRows bound) and rows
+// pending invalidation queued for eviction. Rows in flight are not missing.
+func (l *LazyAllPairs) Missing(srcs []int) []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []int
+	for _, src := range srcs {
+		_, queued := l.dirty[src]
+		if _, ok := l.rows[src]; !ok || queued {
+			out = append(out, src)
+		}
+	}
+	return out
+}
+
+// Materialize computes every missing row, fanned out over workers, and
+// returns the table in eager form — byte-identical to ComputeAllPairs on the
+// current graph. The returned table shares the immutable rows but no mutable
+// state, so later mutations never move it: this is how an eager session
+// publishes its table. Copying an already-computed row counts no hit.
 func (l *LazyAllPairs) Materialize(workers int) *AllPairs {
 	srcs := l.Sources()
-	l.Prefetch(srcs, workers)
+	l.Prefetch(l.Missing(srcs), workers)
 	ap := &AllPairs{results: make(map[int]*Result, len(srcs))}
+	var dropped []int
+	l.mu.Lock()
 	for _, src := range srcs {
+		if row, ok := l.rows[src]; ok && row.res != nil {
+			ap.results[src] = row.res
+		} else {
+			dropped = append(dropped, src)
+		}
+	}
+	l.mu.Unlock()
+	// A MaxRows bound may have dropped rows the prefetch just computed.
+	for _, src := range dropped {
 		ap.results[src] = l.From(src)
 	}
 	return ap
@@ -605,6 +671,7 @@ func (l *LazyAllPairs) Snapshot() *LazyAllPairs {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.applyPendingLocked()
+	l.pinned = true
 	rows := make(map[int]*lazyRow, len(l.rows))
 	for src, row := range l.rows {
 		if row.res != nil {
@@ -612,15 +679,15 @@ func (l *LazyAllPairs) Snapshot() *LazyAllPairs {
 		}
 	}
 	s := &LazyAllPairs{
-		g:       nil,
-		frozen:  l.frozen,
-		nodes:   l.nodes,
-		rows:    rows,
-		readers: make(map[int]map[int]struct{}),
-		dirty:   make(map[int]struct{}),
-		maxRows: l.maxRows,
-		pool:    l.pool,
-		ins:     l.ins,
+		g:         nil,
+		frozen:    l.frozen,
+		nodes:     l.nodes,
+		rows:      rows,
+		readers:   make(map[int]map[int]struct{}),
+		dirty:     make(map[int]struct{}),
+		maxRows:   l.maxRows,
+		scratches: l.scratches,
+		ins:       l.ins,
 
 		// Counters are shared with the parent (they are concurrency-safe),
 		// so rows computed or evicted while serving a pinned epoch still

@@ -9,14 +9,16 @@ import (
 // test the way a session would (node removals announce every former
 // in-neighbor first). Reads are part of the op space too: laziness means
 // which rows happen to be materialized when a mutation lands is itself
-// interesting state.
-func applyLazyFuzzOp(g *testGraph, lts []*LazyAllPairs, op, x, y byte, next *int) {
+// interesting state. So are the eager session's fill and publication: op 7
+// evicts and refills every row over two workers, op 8 returns snapshots for
+// the caller to check once later mutations have landed.
+func applyLazyFuzzOp(g *testGraph, lts []*LazyAllPairs, op, x, y byte, next *int) (snaps []Table) {
 	nodes := g.Nodes()
 	if len(nodes) == 0 {
-		return
+		return nil
 	}
 	pick := func(b byte) int { return nodes[int(b)%len(nodes)] }
-	switch op % 7 {
+	switch op % 9 {
 	case 0: // add or replace an arc
 		u, v := pick(x), pick(y)
 		if u != v {
@@ -75,7 +77,19 @@ func applyLazyFuzzOp(g *testGraph, lts []*LazyAllPairs, op, x, y byte, next *int
 			lt.Metric(pick(x), pick(y))
 			lt.Path(pick(y), pick(x))
 		}
+	case 7: // eager flush: evict, then fill every row
+		for _, lt := range lts {
+			fill(lt, 2)
+			if lt.MaxRows() <= 0 && len(lt.Missing(lt.Sources())) != 0 {
+				panic("eager fill left rows missing")
+			}
+		}
+	case 8: // publish: a pinned snapshot and the eager form
+		for _, lt := range lts {
+			snaps = append(snaps, lt.Snapshot(), lt.Materialize(2))
+		}
 	}
+	return snaps
 }
 
 // FuzzLazyInvalidation drives random mutation/read interleavings against a
@@ -85,16 +99,21 @@ func applyLazyFuzzOp(g *testGraph, lts []*LazyAllPairs, op, x, y byte, next *int
 // row survives and the comparison catches it. An unbounded and a MaxRows=2
 // bounded table run the same trace side by side, so LRU eviction interleaved
 // with mutation-driven invalidation is fuzzed against the same oracle, and
-// the bound itself is asserted after every op. Any byte string is a valid
-// trace: three bytes per op, first byte selects the op.
+// the bound itself is asserted after every op. Snapshots taken along the way
+// are checked against the oracle of their own graph only at the end of the
+// trace, so their missing rows compute after the live table has re-frozen.
+// Any byte string is a valid trace: three bytes per op, first byte selects
+// the op.
 func FuzzLazyInvalidation(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{4, 0, 0, 0, 1, 2, 4, 0, 0})          // read, mutate, re-read
-	f.Add([]byte{4, 3, 0, 1, 3, 9, 6, 2, 3})          // read, drop arc, metric
-	f.Add([]byte{2, 9, 1, 3, 0, 0, 2, 2, 7})          // join, leave, join
-	f.Add([]byte{4, 1, 0, 5, 0, 0, 0, 1, 9, 4, 1, 0}) // read, flush, mutate, read
-	f.Add([]byte{3, 1, 1, 3, 2, 2, 3, 3, 3, 3, 4, 4}) // drain the graph
-	f.Add([]byte{4, 0, 0, 4, 1, 1, 4, 2, 2, 0, 1, 2}) // fill past the bound, mutate
+	f.Add([]byte{4, 0, 0, 0, 1, 2, 4, 0, 0})                   // read, mutate, re-read
+	f.Add([]byte{4, 3, 0, 1, 3, 9, 6, 2, 3})                   // read, drop arc, metric
+	f.Add([]byte{2, 9, 1, 3, 0, 0, 2, 2, 7})                   // join, leave, join
+	f.Add([]byte{4, 1, 0, 5, 0, 0, 0, 1, 9, 4, 1, 0})          // read, flush, mutate, read
+	f.Add([]byte{3, 1, 1, 3, 2, 2, 3, 3, 3, 3, 4, 4})          // drain the graph
+	f.Add([]byte{4, 0, 0, 4, 1, 1, 4, 2, 2, 0, 1, 2})          // fill past the bound, mutate
+	f.Add([]byte{7, 0, 0, 0, 1, 2, 7, 0, 0, 2, 3, 1, 7, 0, 0}) // eager fills across churn
+	f.Add([]byte{8, 0, 0, 0, 1, 2, 3, 0, 0, 7, 0, 0, 4, 2, 2}) // snapshot, churn, refill
 	f.Fuzz(func(t *testing.T, trace []byte) {
 		if len(trace) > 48 { // 16 ops x full-table oracle compare is plenty
 			trace = trace[:48]
@@ -104,17 +123,33 @@ func FuzzLazyInvalidation(f *testing.F) {
 		lt := NewLazyAllPairs(g, nil)
 		bounded := NewLazyAllPairsOpts(g, LazyOptions{MaxRows: 2})
 		next := 100
+		type pinned struct {
+			op     int
+			snaps  []Table
+			oracle *AllPairs
+		}
+		var kept []pinned
 		for i := 0; i+2 < len(trace); i += 3 {
-			applyLazyFuzzOp(g, []*LazyAllPairs{lt, bounded}, trace[i], trace[i+1], trace[i+2], &next)
+			snaps := applyLazyFuzzOp(g, []*LazyAllPairs{lt, bounded}, trace[i], trace[i+1], trace[i+2], &next)
 			want := ComputeAllPairsWorkers(g, 1)
+			if snaps != nil {
+				kept = append(kept, pinned{i / 3, snaps, want})
+			}
 			if !TablesEqual(lt, want) || !TablesEqual(want, lt) {
-				t.Fatalf("op %d (byte %d): lazy table diverged from eager oracle", i/3, trace[i]%7)
+				t.Fatalf("op %d (byte %d): lazy table diverged from eager oracle", i/3, trace[i]%9)
 			}
 			if rows := bounded.ComputedRows(); len(rows) > 2 {
 				t.Fatalf("op %d: bounded table holds %v, over MaxRows 2", i/3, rows)
 			}
 			if !TablesEqual(bounded, want) || !TablesEqual(want, bounded) {
-				t.Fatalf("op %d (byte %d): bounded lazy table diverged from eager oracle", i/3, trace[i]%7)
+				t.Fatalf("op %d (byte %d): bounded lazy table diverged from eager oracle", i/3, trace[i]%9)
+			}
+		}
+		for _, p := range kept {
+			for j, sn := range p.snaps {
+				if !TablesEqual(sn, p.oracle) || !TablesEqual(p.oracle, sn) {
+					t.Fatalf("snapshot %d taken at op %d moved under later mutations", j, p.op)
+				}
 			}
 		}
 	})

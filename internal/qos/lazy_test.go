@@ -152,9 +152,9 @@ func TestLazySingleFlight(t *testing.T) {
 	assertLazyMatchesEager(t, lt, g)
 }
 
-// TestLazyInvalidationIsExactlyTheReaders mirrors the Incremental dirty-set
-// test: a change on Out(u) queues precisely the materialized rows whose
-// sources reach u — unmaterialized rows cost nothing.
+// TestLazyInvalidationIsExactlyTheReaders: a change on Out(u) queues
+// precisely the materialized rows whose sources reach u — unmaterialized
+// rows cost nothing.
 func TestLazyInvalidationIsExactlyTheReaders(t *testing.T) {
 	g := chainGraph() // 1 -> 2 -> 3 -> 4, 5 -> 1
 	lt := NewLazyAllPairs(g, nil)
@@ -296,87 +296,26 @@ func TestLazyCounters(t *testing.T) {
 	}
 }
 
-// TestIncrementalLazyFlushDefersRouting is the regression test for the lazy
-// Incremental mode: Flush must do eviction work proportional to the touched
-// rows and run zero kernels; the next AllPairs/Table read pays only for what
-// it reads.
-func TestIncrementalLazyFlushDefersRouting(t *testing.T) {
-	g := chainGraph()
-	inc := NewIncrementalLazy(g, 1, nil)
-	lt := inc.Lazy()
-	if lt == nil {
-		t.Fatal("lazy incremental has no lazy table")
-	}
-	// Boot runs no routing at all.
-	if got := lt.Stats().Computed; got != 0 {
-		t.Fatalf("construction ran %d kernels, want 0", got)
-	}
-	tbl := inc.Table()
-	for _, src := range []int{1, 2, 3, 4, 5} {
-		tbl.From(src)
-	}
-	base := lt.Stats().Computed
-
-	g.setArc(3, 4, 50, 20)
-	inc.OutChanged(3)
-	if got, want := inc.Dirty(), []int{1, 2, 3, 5}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("dirty = %v, want %v", got, want)
-	}
-	if n := inc.Flush(); n != 4 {
-		t.Fatalf("flush reported %d, want 4 evicted rows", n)
-	}
-	if got := lt.Stats().Computed; got != base {
-		t.Fatalf("lazy flush ran %d kernels, want 0", got-base)
-	}
-	if got, want := lt.Stats().Evicted, int64(4); got != want {
-		t.Fatalf("flush evicted %d rows, want %d", got, want)
-	}
-	// A single-row read after the flush recomputes exactly that row.
-	tbl.From(4) // untouched: memo hit
-	if got := lt.Stats().Computed; got != base {
-		t.Fatalf("untouched row recomputed (%d kernels)", got-base)
-	}
-	tbl.From(2)
-	if got := lt.Stats().Computed; got != base+1 {
-		t.Fatalf("touched-row read ran %d kernels, want 1", got-base)
-	}
-
-	// AllPairs materializes and equals a scratch rebuild.
-	got := inc.AllPairs()
-	want := ComputeAllPairsWorkers(g, 1)
-	if !got.Equal(want) || !want.Equal(got) {
-		t.Fatal("lazy incremental AllPairs diverged from scratch")
-	}
-}
-
 // TestIncrementalLazyLifecycleMatchesScratch drives the full mutation API of
-// the lazy Incremental and checks the materialized table after every step.
+// the incrementally maintained lazy table and checks the materialized table
+// against a scratch rebuild after every step.
 func TestIncrementalLazyLifecycleMatchesScratch(t *testing.T) {
 	g := chainGraph()
-	inc := NewIncrementalLazy(g, 1, nil)
-
-	check := func() {
-		t.Helper()
-		got := inc.AllPairs()
-		want := ComputeAllPairsWorkers(g, 1)
-		if !got.Equal(want) || !want.Equal(got) {
-			t.Fatal("lazy incremental diverged from scratch")
-		}
-	}
-	check()
+	lt := NewLazyAllPairs(g, nil)
+	assertMatchesScratch(t, lt, g)
 
 	g.addNode(9)
-	inc.NodeAdded(9)
+	lt.NodeAdded(9)
 	g.addArc(9, 2, 80, 5)
-	inc.OutChanged(9)
-	check()
+	lt.OutChanged(9)
+	assertMatchesScratch(t, lt, g)
 
 	ins := g.removeNode(2)
 	for _, u := range ins {
-		inc.OutChanged(u)
+		lt.OutChanged(u)
 	}
-	inc.NodeRemoved(2)
-	check()
+	lt.NodeRemoved(2)
+	assertMatchesScratch(t, lt, g)
 }
 
 func TestLazyPrefetch(t *testing.T) {

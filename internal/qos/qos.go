@@ -381,6 +381,10 @@ type AllPairs struct {
 	results map[int]*Result
 }
 
+// Equal reports whether two all-pairs tables are deeply equal: same sources,
+// and per source the same reachable set, metrics and selected paths.
+func (ap *AllPairs) Equal(o *AllPairs) bool { return TablesEqual(ap, o) }
+
 // parallelAllPairsMin is the node count below which the default
 // ComputeAllPairs stays sequential: per-source runs on tiny graphs (the
 // two-hop local views of the distributed protocol, mostly) finish faster

@@ -18,7 +18,7 @@
 //     boundary does not flap the planner.
 //   - Planner: per hot link, re-federates the cheapest tenants crossing it
 //     with the hot link masked out of a private session.Session view
-//     (qos.Incremental recomputes only the rows the mask dirties), and
+//     (the session recomputes only the rows the mask dirties), and
 //     commits each migration only if the gate proves no link ends above the
 //     pre-migration maximum utilization. A vetoed or infeasible trial rolls
 //     back through the allocator's exact-restore path.

@@ -69,7 +69,7 @@ type StepReport struct {
 // Re-placement candidates are solved against a private session.Session that
 // mirrors "pristine capacity minus everyone else's load, hot link masked
 // out": between candidates only the links whose load actually changed are
-// mutated, so qos.Incremental recomputes exactly the dirtied rows instead of
+// mutated, so the session recomputes exactly the dirtied rows instead of
 // rebuilding the table. The allocator's Manager re-validates every proposed
 // flow against the true residual before it commits, so a stale mirror can
 // only cost a failed (exactly rolled back) migration, never a broken

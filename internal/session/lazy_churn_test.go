@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sflow/internal/metrics"
 	"sflow/internal/qos"
 	"sflow/internal/session"
 )
@@ -121,5 +122,50 @@ func TestLazySnapshotIsConsistentAndImmutable(t *testing.T) {
 		if snaps[i].Epoch <= snaps[i-1].Epoch {
 			t.Fatalf("epochs not strictly increasing: %d then %d", snaps[i-1].Epoch, snaps[i].Epoch)
 		}
+	}
+}
+
+// TestLazySessionFlushDefersRouting: a lazy session boots without routing,
+// and its Flush evicts exactly the dirty rows and runs no kernel; the next
+// reads pay only for the rows they touch.
+func TestLazySessionFlushDefersRouting(t *testing.T) {
+	reg := metrics.New()
+	s := session.New(chainOverlay(t), session.Options{Workers: 1, Lazy: true, Metrics: reg})
+	computed := reg.Counter("qos_lazy_rows_computed_total")
+	if got := computed.Value(); got != 0 {
+		t.Fatalf("construction ran %d kernels, want 0", got)
+	}
+	tbl := s.Table()
+	for src := 1; src <= 5; src++ {
+		tbl.From(src)
+	}
+	base := computed.Value()
+
+	if err := s.ReduceLinkBandwidth(3, 4, 50); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Dirty(), []int{1, 2, 3, 5}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("dirty = %v, want %v", got, want)
+	}
+	if n := s.Flush(); n != 4 {
+		t.Fatalf("flush reported %d, want 4 evicted rows", n)
+	}
+	if got := computed.Value(); got != base {
+		t.Fatalf("lazy flush ran %d kernels, want 0", got-base)
+	}
+	if got := s.Stats().EvictedRows; got != 4 {
+		t.Fatalf("stats count %d evicted rows, want 4", got)
+	}
+	tbl.From(4) // untouched: memo hit
+	if got := computed.Value(); got != base {
+		t.Fatalf("untouched row recomputed (%d kernels)", got-base)
+	}
+	tbl.From(2)
+	if got := computed.Value(); got != base+1 {
+		t.Fatalf("touched-row read ran %d kernels, want 1", got-base)
+	}
+	got, want := s.AllPairs(), qos.ComputeAllPairsWorkers(s.Overlay(), 1)
+	if !got.Equal(want) || !want.Equal(got) {
+		t.Fatal("lazy session AllPairs diverged from scratch")
 	}
 }

@@ -5,10 +5,12 @@
 //
 // Every overlay change (a link re-weighted, added or removed; an instance
 // joining or leaving) flows through the session, which translates it into
-// exact per-source dirty sets via qos.Incremental's reverse-dependency
+// exact per-source dirty sets via qos.LazyAllPairs's reverse-dependency
 // index. A solve after k changed links recomputes only the sources that
 // could reach a changed node, not all of them; on single-link churn that is
 // typically a small fraction of the overlay (see results/bench-dynamics.txt).
+// Both modes maintain the one table: an eager session fills every row the
+// flush evicted (or a join added) at once, a lazy one leaves them to demand.
 //
 // The maintained caches are provably equivalent to from-scratch rebuilds —
 // not just metric-equal but byte-identical, selected paths included — which
@@ -16,8 +18,8 @@
 // long random mutation traces.
 //
 // Recomputation runs on qos's dense CSR engine: the session's overlay is
-// frozen once per mutated epoch and dirty sources rerun on per-worker
-// reusable scratch buffers (see DESIGN.md, "Hot-path engine").
+// frozen once per mutated epoch and dirty sources rerun on reusable scratch
+// buffers (see DESIGN.md, "Hot-path engine").
 package session
 
 import (
@@ -95,20 +97,24 @@ type Stats struct {
 // have silently corrupted the all-pairs cache now crashes with a clear
 // diagnosis at the exact call site.
 type Session struct {
-	ov      *overlay.Overlay
-	inc     *qos.Incremental
-	lazy    bool
-	workers int
-	reg     *metrics.Registry
-	stats   Stats
-	epoch   uint64
+	ov    *overlay.Overlay
+	table *qos.LazyAllPairs
+	// published is the eager table of the current overlay, a copy over the
+	// table's immutable rows; nil after an event until the next read
+	// publishes again. Always nil in lazy mode.
+	published *qos.AllPairs
+	lazy      bool
+	workers   int
+	stats     Stats
+	epoch     uint64
 
 	// inUse is the concurrent-misuse detector: 0 when idle, 1 while a
 	// guarded method runs.
 	inUse atomic.Int32
 
-	events  *metrics.Counter
-	flushUS *metrics.Histogram
+	events                     *metrics.Counter
+	flushUS                    *metrics.Histogram
+	flushes, recomputed, saved *metrics.Counter
 }
 
 // enter flags the session as busy; it panics if another guarded call is
@@ -128,24 +134,27 @@ func (s *Session) exit() { s.inUse.Store(0) }
 // caller's overlay do not affect the session, and vice versa).
 func New(ov *overlay.Overlay, opts Options) *Session {
 	own := ov.Clone()
-	var inc *qos.Incremental
+	lopts := qos.LazyOptions{Metrics: opts.Metrics}
 	if opts.Lazy {
-		inc = qos.NewIncrementalLazyOpts(own, opts.Workers,
-			qos.LazyOptions{Metrics: opts.Metrics, MaxRows: opts.MaxRows})
-	} else {
-		inc = qos.NewIncremental(own, opts.Workers, opts.Metrics)
+		lopts.MaxRows = opts.MaxRows
 	}
 	s := &Session{
 		ov:      own,
-		inc:     inc,
+		table:   qos.NewLazyAllPairsOpts(own, lopts),
 		lazy:    opts.Lazy,
 		workers: opts.Workers,
-		reg:     opts.Metrics,
 	}
-	if opts.Metrics != nil {
-		s.events = opts.Metrics.Counter("session_events_total")
-		s.flushUS = opts.Metrics.Histogram("session_flush_us",
+	if reg := opts.Metrics; reg != nil {
+		s.flushes = reg.Counter("qos_incremental_flushes_total")
+		s.recomputed = reg.Counter("qos_incremental_recomputed_sources_total")
+		s.saved = reg.Counter("qos_incremental_saved_sources_total")
+		s.events = reg.Counter("session_events_total")
+		s.flushUS = reg.Histogram("session_flush_us",
 			metrics.ExponentialBounds(10, 10, 6), metrics.Volatile())
+	}
+	if !opts.Lazy {
+		// An eager session routes every source up front.
+		s.published = s.table.Materialize(opts.Workers)
 	}
 	return s
 }
@@ -161,8 +170,9 @@ func (s *Session) Lazy() bool { return s.lazy }
 // Stats returns what the session has done so far.
 func (s *Session) Stats() Stats { return s.stats }
 
-// event records one accepted mutation.
+// event records one accepted mutation, retiring the published eager table.
 func (s *Session) event() {
+	s.published = nil
 	s.stats.Events++
 	s.events.Inc()
 }
@@ -175,7 +185,7 @@ func (s *Session) AddInstance(nid, sid, host int) error {
 	if err := s.ov.AddInstance(nid, sid, host); err != nil {
 		return err
 	}
-	s.inc.NodeAdded(nid)
+	s.table.NodeAdded(nid)
 	s.event()
 	return nil
 }
@@ -198,9 +208,9 @@ func (s *Session) removeInstance(nid int) error {
 		return err
 	}
 	for _, a := range ins {
-		s.inc.OutChanged(a.To)
+		s.table.OutChanged(a.To)
 	}
-	s.inc.NodeRemoved(nid)
+	s.table.NodeRemoved(nid)
 	s.event()
 	return nil
 }
@@ -212,7 +222,7 @@ func (s *Session) AddLink(from, to int, bandwidth, latency int64) error {
 	if err := s.ov.AddLink(from, to, bandwidth, latency); err != nil {
 		return err
 	}
-	s.inc.OutChanged(from)
+	s.table.OutChanged(from)
 	s.event()
 	return nil
 }
@@ -224,7 +234,7 @@ func (s *Session) RemoveLink(from, to int) error {
 	if err := s.ov.RemoveLink(from, to); err != nil {
 		return err
 	}
-	s.inc.OutChanged(from)
+	s.table.OutChanged(from)
 	s.event()
 	return nil
 }
@@ -237,7 +247,7 @@ func (s *Session) GrowLinkBandwidth(from, to int, delta int64) error {
 	if err := s.ov.GrowLinkBandwidth(from, to, delta); err != nil {
 		return err
 	}
-	s.inc.OutChanged(from)
+	s.table.OutChanged(from)
 	s.event()
 	return nil
 }
@@ -251,7 +261,7 @@ func (s *Session) ReduceLinkBandwidth(from, to int, delta int64) error {
 	if err := s.ov.ReduceLinkBandwidth(from, to, delta); err != nil {
 		return err
 	}
-	s.inc.OutChanged(from)
+	s.table.OutChanged(from)
 	s.event()
 	return nil
 }
@@ -265,53 +275,97 @@ func (s *Session) Flush() int {
 	return s.flush()
 }
 
-// flush is Flush without the misuse guard, for internal reuse.
+// flush is Flush without the misuse guard, for internal reuse. A lazy flush
+// only evicts; an eager one evicts and then recomputes every missing row.
 func (s *Session) flush() int {
-	if len(s.inc.Dirty()) == 0 {
+	var srcs []int
+	if s.lazy {
+		srcs = s.table.Dirty()
+	} else if s.published == nil {
+		srcs = s.dirty()
+	}
+	if len(srcs) == 0 {
 		return 0
 	}
 	start := time.Now()
-	n := s.inc.Flush()
-	s.flushUS.Observe(time.Since(start).Microseconds())
-	s.stats.Flushes++
+	n := s.table.Flush()
 	if s.lazy {
 		s.stats.EvictedRows += int64(n)
+		if n > 0 {
+			s.flushes.Inc()
+		}
 	} else {
+		s.table.Prefetch(srcs, s.workers)
+		n = len(srcs)
+		saved := s.ov.NumInstances() - n
 		s.stats.RecomputedSources += int64(n)
-		s.stats.SavedSources += int64(s.ov.NumInstances() - n)
+		s.stats.SavedSources += int64(saved)
+		s.flushes.Inc()
+		s.recomputed.Add(int64(n))
+		s.saved.Add(int64(saved))
 	}
+	s.flushUS.Observe(time.Since(start).Microseconds())
+	s.stats.Flushes++
 	return n
 }
 
-// Dirty returns the sources a Flush would currently recompute, ascending.
+// dirty is the eager recompute set: the overlay's instances whose row the
+// pending events queued for eviction or that joined without a row yet.
+func (s *Session) dirty() []int { return s.table.Missing(s.ov.Nodes()) }
+
+// Dirty returns the sources a Flush would currently recompute (eager mode)
+// or evict (lazy mode), ascending.
 func (s *Session) Dirty() []int {
 	s.enter("Dirty")
 	defer s.exit()
-	return s.inc.Dirty()
+	if s.lazy {
+		return s.table.Dirty()
+	}
+	return s.dirty()
+}
+
+// eager returns the published eager table, copying it out of the table's
+// rows at the first read after an event. Callers flush first.
+func (s *Session) eager() *qos.AllPairs {
+	if s.published == nil {
+		s.published = s.table.Materialize(s.workers)
+	}
+	return s.published
+}
+
+// current flushes and returns the table reads go through: the live lazy
+// table, or the published eager one.
+func (s *Session) current() qos.Table {
+	s.flush()
+	if s.lazy {
+		return s.table
+	}
+	return s.eager()
 }
 
 // AllPairs flushes pending recomputation and returns the maintained
 // shortest-widest table in eager form. It equals a from-scratch
-// qos.ComputeAllPairs on the current overlay, byte for byte. In lazy mode
-// this materializes every row — use Table for demand-driven reads. The
-// returned table is the live maintained one in eager mode — later events
-// move it; use Snapshot for an immutable view.
+// qos.ComputeAllPairs on the current overlay, byte for byte, and later
+// events never move it. In lazy mode this materializes every row — use
+// Table for demand-driven reads.
 func (s *Session) AllPairs() *qos.AllPairs {
 	s.enter("AllPairs")
 	defer s.exit()
 	s.flush()
-	return s.inc.AllPairs()
+	if s.lazy {
+		return s.table.Materialize(s.workers)
+	}
+	return s.eager()
 }
 
 // Table flushes pending invalidation and returns the maintained table
 // without forcing materialization: in lazy mode rows still compute only when
-// read. The returned table is the live maintained one — later events move
-// it; use Snapshot for an immutable view.
+// read, and the returned table is the live one — later events move it; use
+// Snapshot for an immutable view.
 func (s *Session) Table() qos.Table {
 	s.enter("Table")
 	defer s.exit()
-	s.flush()
-	return s.inc.Table()
+	return s.current()
 }
 
 // Abstract flushes pending recomputation and returns the service abstract
@@ -321,8 +375,7 @@ func (s *Session) Table() qos.Table {
 func (s *Session) Abstract(req *require.Requirement) (*abstract.Graph, error) {
 	s.enter("Abstract")
 	defer s.exit()
-	s.flush()
-	ag, err := abstract.FromAllPairs(s.ov, req, s.inc.Table())
+	ag, err := abstract.FromAllPairs(s.ov, req, s.current())
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
@@ -350,21 +403,18 @@ type Snapshot struct {
 }
 
 // Snapshot flushes pending recomputation and publishes the current state as
-// an immutable Snapshot. The overlay is deep-cloned and the table snapshotted
-// (a cheap shallow copy over immutable per-source results), so the cost is
-// O(overlay + sources), independent of how much routing state the epoch
-// carries.
+// an immutable Snapshot. The overlay is deep-cloned and the table published
+// (a shallow copy over immutable per-source results, shared by every
+// snapshot until the next event), so the cost is O(overlay + sources),
+// independent of how much routing state the epoch carries.
 func (s *Session) Snapshot() *Snapshot {
 	s.enter("Snapshot")
 	defer s.exit()
-	s.flush()
-	s.epoch++
-	var table qos.Table
+	table := s.current()
 	if s.lazy {
-		table = s.inc.Lazy().Snapshot()
-	} else {
-		table = s.inc.AllPairs().Snapshot()
+		table = s.table.Snapshot()
 	}
+	s.epoch++
 	return &Snapshot{
 		Epoch:    s.epoch,
 		Overlay:  s.ov.Clone(),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sflow/internal/abstract"
+	"sflow/internal/metrics"
 	"sflow/internal/overlay"
 	"sflow/internal/qos"
 	"sflow/internal/require"
@@ -219,4 +220,152 @@ func TestSessionRejectsInvalidEvents(t *testing.T) {
 		t.Fatalf("rejected events were counted: %d != %d", got, events)
 	}
 	assertTableEqual(t, s, 4, 0)
+}
+
+// chainOverlay builds instances 1 -> 2 -> 3 -> 4 plus an off-path 5 -> 1,
+// one service per instance.
+func chainOverlay(t *testing.T) *overlay.Overlay {
+	t.Helper()
+	ov := overlay.New()
+	for nid := 1; nid <= 5; nid++ {
+		if err := ov.AddInstance(nid, nid, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, l := range [][2]int{{1, 2}, {2, 3}, {3, 4}, {5, 1}} {
+		if err := ov.AddLink(l[0], l[1], 100, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ov
+}
+
+// TestEagerDirtySetIsExactlyTheReaders walks the eager dirty-set contract
+// through the session: Dirty is exactly the instances that reach a changed
+// node plus joined instances without a row, departed instances never
+// count, and Flush recomputes exactly that many sources.
+func TestEagerDirtySetIsExactlyTheReaders(t *testing.T) {
+	s := session.New(chainOverlay(t), session.Options{Workers: 1})
+	step := func(label string, want []int) {
+		t.Helper()
+		if got := s.Dirty(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: dirty = %v, want %v", label, got, want)
+		}
+		if n := s.Flush(); n != len(want) {
+			t.Fatalf("%s: flush recomputed %d sources, want %d", label, n, len(want))
+		}
+		if got := s.Dirty(); len(got) != 0 {
+			t.Fatalf("%s: dirty set %v survives a flush", label, got)
+		}
+		assertTableEqual(t, s, 0, 0)
+	}
+	if got := s.Dirty(); len(got) != 0 {
+		t.Fatalf("fresh session has dirty sources %v", got)
+	}
+
+	// Out(3) changes: only 1, 2, 3 and 5 reach 3; 4 keeps its row.
+	if err := s.ReduceLinkBandwidth(3, 4, 50); err != nil {
+		t.Fatal(err)
+	}
+	step("re-weight", []int{1, 2, 3, 5})
+
+	// Join: the new instance needs its own run; its out-link dirties no
+	// one else, the in-link from 4 dirties every reacher of 4.
+	if err := s.AddInstance(9, 9, -1); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Dirty(); !reflect.DeepEqual(got, []int{9}) {
+		t.Fatalf("join: dirty = %v, want [9]", got)
+	}
+	if err := s.AddLink(9, 2, 80, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddLink(4, 9, 80, 5); err != nil {
+		t.Fatal(err)
+	}
+	step("join", []int{1, 2, 3, 4, 5, 9})
+
+	// A dirtied source that leaves before the flush is dropped, not run.
+	if err := s.GrowLinkBandwidth(1, 2, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RemoveInstance(5); err != nil {
+		t.Fatal(err)
+	}
+	step("dirty source left", []int{1})
+
+	// An instance that comes and goes between flushes costs nothing.
+	if err := s.AddInstance(7, 7, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RemoveInstance(7); err != nil {
+		t.Fatal(err)
+	}
+	step("join then leave", nil)
+}
+
+// TestIncrementalCounters pins the qos_incremental_* counters the session
+// emits: equal to its Stats in eager mode, and in lazy mode one flush per
+// evicting flush with nothing recomputed.
+func TestIncrementalCounters(t *testing.T) {
+	counters := func(reg *metrics.Registry) [3]int64 {
+		return [3]int64{
+			reg.Counter("qos_incremental_flushes_total").Value(),
+			reg.Counter("qos_incremental_recomputed_sources_total").Value(),
+			reg.Counter("qos_incremental_saved_sources_total").Value(),
+		}
+	}
+	reg := metrics.New()
+	s := session.New(chainOverlay(t), session.Options{Workers: 1, Metrics: reg})
+	if err := s.ReduceLinkBandwidth(3, 4, 50); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	// 5 instances, 4 recomputed: one source saved versus a full rebuild.
+	if got, want := counters(reg), [3]int64{1, 4, 1}; got != want {
+		t.Fatalf("eager counters (flushes, recomputed, saved) = %v, want %v", got, want)
+	}
+	st := s.Stats()
+	if got := [3]int64{st.Flushes, st.RecomputedSources, st.SavedSources}; got != counters(reg) {
+		t.Fatalf("stats %v disagree with counters %v", got, counters(reg))
+	}
+
+	reg = metrics.New()
+	s = session.New(chainOverlay(t), session.Options{Workers: 1, Metrics: reg, Lazy: true})
+	if err := s.ReduceLinkBandwidth(3, 4, 50); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush() // nothing materialized: nothing to evict
+	s.Table().From(1)
+	if err := s.ReduceLinkBandwidth(3, 4, 10); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	if got, want := counters(reg), [3]int64{1, 0, 0}; got != want {
+		t.Fatalf("lazy counters (flushes, recomputed, saved) = %v, want %v", got, want)
+	}
+}
+
+// TestEagerTraceParallelFill replays a churn trace on an eager session whose
+// fill fans out over four workers; after every event the table must equal
+// the sequential scratch rebuild. `make race-session` runs it under -race.
+func TestEagerTraceParallelFill(t *testing.T) {
+	events := 200
+	if testing.Short() {
+		events = 60
+	}
+	sc := traceScenario(t, 5)
+	s := session.New(sc.Overlay, session.Options{Workers: 4})
+	churn := session.NewChurn(s, 17, []int{sc.SourceNID}, sc.Req.Services())
+	for e := 1; e <= events; e++ {
+		if _, err := churn.Step(); err != nil {
+			t.Fatalf("event %d: %v", e, err)
+		}
+		if dirty := s.Dirty(); e%3 == 0 {
+			if n := s.Flush(); n != len(dirty) {
+				t.Fatalf("event %d: Flush recomputed %d sources, Dirty promised %d", e, n, len(dirty))
+			}
+		}
+		assertTableEqual(t, s, 5, e)
+	}
 }
